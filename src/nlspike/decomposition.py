@@ -28,13 +28,6 @@ from .matrixgen import SbmSpec, SignalVector, SpikeParams, assemble_observation,
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
 
-BOUNDARY_SNAP_TOL = 1e-12
-
-
-class EllResult(NamedTuple):
-    ell: int
-    gap: bool
-
 
 def _as_fraction(alpha) -> Fraction:
     try:
@@ -44,14 +37,14 @@ def _as_fraction(alpha) -> Fraction:
     return a
 
 
-def ell_of_alpha(alpha) -> EllResult:
+def ell_of_alpha(alpha) -> int:
     """Taylor order ell for a strength exponent alpha in [0, 1/2).
 
     ell is the unique positive integer with (ell-1)/(2 ell) <= alpha <
     ell/(2 ell + 2); equivalently the smallest integer strictly greater
     than 2 alpha / (1 - 2 alpha). The right end of each interval equals
-    the left end of the next, so the intervals tile [0, 1/2) and the gap
-    flag can never be raised; it is kept for interface stability.
+    the left end of the next, so the intervals tile [0, 1/2) and every
+    alpha in it has an order.
 
     Exact rational arithmetic is used throughout. Float inputs within
     1e-12 of an interval boundary (a rational (ell-1)/(2 ell)) are
@@ -67,7 +60,7 @@ def ell_of_alpha(alpha) -> EllResult:
         upper = Fraction(ell, 2 * ell + 2)  # left end of the (ell+1)-interval
         if abs(a - upper) <= Fraction(1, 10**12):
             ell += 1
-    return EllResult(ell, False)
+    return ell
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,6 @@ class SpikeTerm:
 @dataclass(frozen=True, eq=False)
 class DecompositionReport:
     ell: int
-    gap: bool
     noise_part: np.ndarray
     spikes: tuple[SpikeTerm, ...]
     remainder_norm: float
@@ -136,10 +128,7 @@ class DecompositionReport:
 
     def approximation(self) -> np.ndarray:
         """Dense noise + spikes."""
-        out = self.noise_part.copy()
-        for term in self.spikes:
-            out += term.materialize()
-        return out
+        return _dense_sum(self.noise_part, self.spikes)
 
     def to_json(self) -> dict:
         return {
@@ -147,13 +136,19 @@ class DecompositionReport:
             "alpha": float(self.alpha),
             "c_lambda": self.c_lambda,
             "ell": self.ell,
-            "gap": self.gap,
             "remainder_norm": self.remainder_norm,
             "spikes": [
                 {"k": t.k, "coefficient": t.coefficient, "direction_kind": t.direction_kind}
                 for t in self.spikes
             ],
         }
+
+
+def _dense_sum(noise_part: np.ndarray, spikes: tuple[SpikeTerm, ...]) -> np.ndarray:
+    out = noise_part.copy()
+    for term in spikes:
+        out += term.materialize()
+    return out
 
 
 def _direction_kind(x: SignalVector, parity_flip: int, k: int) -> str:
@@ -179,7 +174,7 @@ def signal_plus_noise(
     n = sp.n
     if W.shape != (n, n) or x.n != n:
         raise ParameterError(f"dimension mismatch: W {W.shape}, x {x.n}, params n={n}")
-    ell, gap = ell_of_alpha(sp.alpha)
+    ell = ell_of_alpha(sp.alpha)
     lam = sp.signal_strength
     noise_part = apply_elementwise(f, W) / np.sqrt(n)
 
@@ -216,13 +211,11 @@ def signal_plus_noise(
                 )
 
     report_spikes = tuple(spikes)
-    approx = noise_part.copy()
-    for term in report_spikes:
-        approx += term.materialize()
     Y = assemble_observation(W, f, sp, x)
-    remainder = operator_norm(Y - approx)
+    Y -= _dense_sum(noise_part, report_spikes)
+    remainder = operator_norm(Y)
     return DecompositionReport(
-        ell, gap, noise_part, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda
+        ell, noise_part, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda
     )
 
 
@@ -255,7 +248,7 @@ def wigner_spike_coefficients(
     f: NonlinearFn, d: Distribution, sp: SpikeParams
 ) -> WignerSpikeCoefficients:
     """Aggregate spike strengths for a Rademacher-normalized signal."""
-    ell, _ = ell_of_alpha(sp.alpha)
+    ell = ell_of_alpha(sp.alpha)
     n = float(sp.n)
     terms = []
     ones_total = zeta_total = 0.0
@@ -304,7 +297,7 @@ def sbm_spike_coefficients(f: NonlinearFn, spec: SbmSpec, sp: SpikeParams) -> Sb
             f"block means must sum to zero (got {gamma_sum:.3e}); "
             "use SbmSpec.centered_sum() first"
         )
-    ell, _ = ell_of_alpha(sp.alpha)
+    ell = ell_of_alpha(sp.alpha)
     n = float(sp.n)
     terms = []
     kappa_c = kappa_s = 0.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import FormatError
 
@@ -63,6 +62,9 @@ def fit_transition_midpoint(x, y) -> tuple[float, dict]:
         [-0.5, lo0, x[0] - span, 1e-4 * span],
         [hi0 + 0.5, hi0 + 0.5, x[-1] + span, 2.0 * span],
     )
+    # imported here: scipy.optimize is slow to load and only fits need it
+    from scipy.optimize import curve_fit
+
     params, _ = curve_fit(_logistic, x, y, p0=p0, bounds=bounds, maxfev=20_000)
     lo, hi, x0, w = (float(v) for v in params)
     return x0, {"lo": lo, "hi": hi, "width": w}

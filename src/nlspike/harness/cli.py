@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands mirror the experiments; every run takes a JSON config.
-Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
-error, 4 I/O error.
+Exit codes: 0 success, 2 configuration or input error (any package error
+other than a convergence failure), 3 numerical-convergence error, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ConfigError, ConvergenceError, FormatError, ParameterError
-from .config import load_config
+from ..errors import ConfigError, ConvergenceError, NlspikeError
+from .config import load_config, parse_config
 from .sweeps import run_experiment
 
 EXIT_OK = 0
@@ -52,16 +53,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw = dict(cfg.raw)
             raw["base_seed"] = args.seed
-            from .config import parse_config
-
             cfg = parse_config(raw)
         artifacts = run_experiment(cfg, args.out, args.threads)
-    except (ConfigError, ParameterError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence error: {exc} (residual={exc.residual})", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except NlspikeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

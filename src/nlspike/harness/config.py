@@ -145,26 +145,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
     kwargs["alpha"] = _parse_alpha(_require(raw, "alpha", experiment))
     kwargs["f"] = _parse_fn(_require(raw, "f", experiment), f"{experiment}.f")
 
-    if experiment in ("signed-sweep", "decompose-check"):
+    if experiment in ("signed-sweep", "sbm-sweep", "decompose-check"):
         trials = int(_require(raw, "trials_per_point", experiment))
         if trials < 1:
             raise ConfigError(f"{experiment}: trials_per_point must be >= 1, got {trials}")
         kwargs["trials_per_point"] = trials
+    if experiment in ("esd", "predict"):
+        kwargs["model"] = raw.get("model", "wigner")
+        if kwargs["model"] not in ("wigner", "sbm"):
+            raise ConfigError(f"{experiment}.model must be wigner or sbm, got {kwargs['model']!r}")
+
+    if experiment in ("signed-sweep", "decompose-check") or kwargs.get("model") == "wigner":
         kwargs["noise"] = _parse_distribution(
             _require(raw, "noise", experiment), f"{experiment}.noise"
         )
-    elif experiment == "sbm-sweep":
-        trials = int(_require(raw, "trials_per_point", experiment))
-        if trials < 1:
-            raise ConfigError(f"{experiment}: trials_per_point must be >= 1, got {trials}")
-        kwargs["trials_per_point"] = trials
-        kwargs["within"] = _parse_distribution(
-            _require(raw, "within", experiment), "sbm-sweep.within"
-        )
-        kwargs["across"] = _parse_distribution(
-            _require(raw, "across", experiment), "sbm-sweep.across"
-        )
-        kwargs["beta"] = float(_require(raw, "beta", experiment))
+    else:
+        for name in ("within", "across"):
+            kwargs[name] = _parse_distribution(
+                _require(raw, name, experiment), f"{experiment}.{name}"
+            )
+        if experiment != "predict":
+            kwargs["beta"] = float(_require(raw, "beta", experiment))
+
+    if experiment == "sbm-sweep":
         for name in ("within", "across"):
             if abs(dist.mean(kwargs[name])) > 1e-12:
                 raise ConfigError(
@@ -172,15 +175,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     "community separation from c"
                 )
     elif experiment == "esd":
-        kwargs["model"] = raw.get("model", "wigner")
-        if kwargs["model"] not in ("wigner", "sbm"):
-            raise ConfigError(f"esd.model must be wigner or sbm, got {kwargs['model']!r}")
-        if kwargs["model"] == "wigner":
-            kwargs["noise"] = _parse_distribution(_require(raw, "noise", "esd"), "esd.noise")
-        else:
-            kwargs["within"] = _parse_distribution(_require(raw, "within", "esd"), "esd.within")
-            kwargs["across"] = _parse_distribution(_require(raw, "across", "esd"), "esd.across")
-            kwargs["beta"] = float(_require(raw, "beta", "esd"))
         kwargs["bins"] = int(raw.get("bins", 40))
         if kwargs["bins"] < 1:
             raise ConfigError(f"esd.bins must be >= 1, got {kwargs['bins']}")
@@ -191,28 +185,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             kwargs["hist_range"] = (lo, hi)
         kwargs["eta"] = float(raw.get("eta", 1e-3))
         kwargs["qve_max_iter"] = int(raw.get("qve_max_iter", 200_000))
-    elif experiment == "predict":
-        kwargs["model"] = raw.get("model", "wigner")
-        if kwargs["model"] not in ("wigner", "sbm"):
-            raise ConfigError(f"predict.model must be wigner or sbm, got {kwargs['model']!r}")
-        if kwargs["model"] == "wigner":
-            kwargs["noise"] = _parse_distribution(_require(raw, "noise", "predict"), "predict.noise")
-        else:
-            kwargs["within"] = _parse_distribution(
-                _require(raw, "within", "predict"), "predict.within"
-            )
-            kwargs["across"] = _parse_distribution(
-                _require(raw, "across", "predict"), "predict.across"
-            )
 
     return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

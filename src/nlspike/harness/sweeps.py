@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -47,12 +49,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, cfg: ExperimentConfig, header: tuple, rows: list[tuple]) -> None:
     lines = [f"# config={cfg.config_hash} version={__version__}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_json(path: Path, entries: list[dict]) -> Path:
+    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _run_tuples(worker, tuples, threads: int | None):
@@ -65,167 +72,146 @@ def _run_tuples(worker, tuples, threads: int | None):
         return list(pool.map(worker, range(len(tuples)), tuples))
 
 
-def _alpha_float(cfg: ExperimentConfig) -> float:
-    return float(cfg.alpha)
-
-
-# ---------------------------------------------------------------------------
-# signed-sweep
-# ---------------------------------------------------------------------------
-
-
-def run_signed_sweep(
-    cfg: ExperimentConfig, out_dir, threads: int | None = None
-) -> dict[str, Path]:
-    """One row per (n, c, trial): top two eigenvalues of the observation
-    and the correlations of the top pair with the constant direction and
-    of the second pair with the signal."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tuples = [(n, c, t) for n in cfg.n_list for c in cfg.c_grid for t in range(cfg.trials_per_point)]
-
-    def worker(index: int, tup):
-        n, c, trial = tup
-        seed = derive_seed(cfg.base_seed, index)
-        W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
-        x = rademacher_signal(n, derive_seed(seed, 1))
-        sp = SpikeParams(c, cfg.alpha, n)
-        Y = assemble_observation(W, cfg.f, sp, x)
-        pairs = sym_eig_top(Y, 2)
-        ones = np.full(n, 1.0 / math.sqrt(n))
-        corr1 = alignment(pairs.vectors[:, 0], ones)
-        corr2 = alignment(pairs.vectors[:, 1], x.entries)
-        return (
-            n,
-            c,
-            trial,
-            seed,
-            float(pairs.values[0]),
-            float(pairs.values[1]),
-            corr1,
-            corr2,
-        )
-
-    rows = _run_tuples(worker, tuples, threads)
-    csv_path = out_dir / "signed_sweep.csv"
-    _write_csv(
-        csv_path,
-        cfg,
-        ["n", "c", "trial", "seed", "gamma1", "gamma2", "corr_u1_ones", "corr_u2_zeta"],
-        rows,
+def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
+    """Block laws pulled apart to mean separation 2 c n^(alpha - 1/2)."""
+    delta = 2.0 * c * float(n) ** (float(cfg.alpha) - 0.5)
+    return SbmSpec(
+        n,
+        cfg.beta,
+        dist.shifted(cfg.within, +0.5 * delta),
+        dist.shifted(cfg.across, -0.5 * delta),
     )
-    theory = [
-        signed_recovery_prediction(cfg.f, cfg.noise, c, cfg.alpha).to_json() | {"c": c}
-        for c in cfg.c_grid
+
+
+# ---------------------------------------------------------------------------
+# Trial kernels and per-c theory: (cfg, n, c, trial, seed) -> row, (cfg, c) -> dict
+# ---------------------------------------------------------------------------
+
+
+def _signed_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
+    """Top two eigenvalues of the observation and the correlations of the
+    top pair with the constant direction and of the second with the signal."""
+    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+    x = rademacher_signal(n, derive_seed(seed, 1))
+    Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
+    pairs = sym_eig_top(Y, 2)
+    ones = np.full(n, 1.0 / math.sqrt(n))
+    corr1 = alignment(pairs.vectors[:, 0], ones)
+    corr2 = alignment(pairs.vectors[:, 1], x.entries)
+    return (n, c, trial, seed, float(pairs.values[0]), float(pairs.values[1]), corr1, corr2)
+
+
+def _signed_theory(cfg: ExperimentConfig, c: float) -> dict:
+    return signed_recovery_prediction(cfg.f, cfg.noise, c, cfg.alpha).to_json() | {"c": c}
+
+
+def _sbm_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
+    """Transformed block model with separation 2 c n^(alpha - 1/2)."""
+    r = run_sbm_trial(_shifted_spec(cfg, n, c), cfg.f, seed)
+    g = r.top_eigenvalues
+    alpha = float(cfg.alpha)
+    return (n, cfg.beta, c, alpha, seed, g[0], g[1], g[2], g[3], r.overlap_top, r.overlap_second)
+
+
+def _sbm_theory(cfg: ExperimentConfig, c: float) -> dict:
+    pred = sbm_recovery_prediction(cfg.f, cfg.within, cfg.across, c, cfg.alpha)
+    entry = pred.to_json() | {"c": c, "beta": cfg.beta}
+    if abs(cfg.beta - 0.5) > 1e-12:
+        # closed forms hold at beta = 1/2 only; beta != 1/2 gets the
+        # QVE-based outlier location instead
+        entry["closed_form_valid"] = False
+        if pred.kappa is not None and pred.regime == "critical":
+            s = sd_f_centered(cfg.f, cfg.within)
+            sb = sd_f_centered(cfg.f, cfg.across)
+            entry["qve_outlier_limit"] = sbm_numeric_outlier(cfg.beta, s, sb, pred.kappa)
+    return entry
+
+
+def _decompose_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
+    """Operator-norm remainder of the signal-plus-noise approximation."""
+    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+    x = rademacher_signal(n, derive_seed(seed, 1))
+    sp = SpikeParams(c, cfg.alpha, n)
+    report = signal_plus_noise(W, cfg.f, sp, x, WignerEnsemble(cfg.noise))
+    # The gap column is always 0 (the Taylor-order intervals tile [0, 1/2));
+    # it stays so that readers of decompose_check.csv, perfbench's reference
+    # gate among them, see an unchanged header.
+    return (n, seed, float(cfg.alpha), c, report.remainder_norm, 0)
+
+
+def _decompose_medians(cfg: ExperimentConfig, rows: list[tuple]) -> list[tuple]:
+    """Per-n median rows, seed = -1, aggregated over the c grid."""
+    alpha = float(cfg.alpha)
+    return [
+        (n, -1, alpha, cfg.c_grid[0], float(np.median([r[4] for r in rows if r[0] == n])), 0)
+        for n in cfg.n_list
     ]
-    theory_path = out_dir / "signed_sweep_theory.json"
-    theory_path.write_text(json.dumps(theory, indent=2, sort_keys=True) + "\n")
-    artifacts = {"csv": csv_path, "theory": theory_path}
-    for col in ("gamma1", "gamma2", "corr_u1_ones", "corr_u2_zeta"):
-        artifacts[f"svg_{col}"] = emit_plot(
-            csv_path, "lines", y_column=col, out_path=out_dir / f"signed_sweep_{col}.svg"
-        )
-    return artifacts
 
 
-# ---------------------------------------------------------------------------
-# sbm-sweep
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Sweep:
+    stem: str  # artifact file-name stem
+    header: tuple[str, ...]
+    trial: Callable[..., tuple]
+    plots: tuple[str, ...]  # CSV columns drawn as SVG line plots
+    theory: Callable[[ExperimentConfig, float], dict] | None = None
+    summary: Callable[[ExperimentConfig, list[tuple]], list[tuple]] | None = None
 
 
-def run_sbm_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[str, Path]:
-    """Trials of the transformed block model with separation 2 c n^(alpha - 1/2)."""
+_SWEEPS = {
+    "signed-sweep": _Sweep(
+        "signed_sweep",
+        ("n", "c", "trial", "seed", "gamma1", "gamma2", "corr_u1_ones", "corr_u2_zeta"),
+        _signed_trial,
+        ("gamma1", "gamma2", "corr_u1_ones", "corr_u2_zeta"),
+        theory=_signed_theory,
+    ),
+    "sbm-sweep": _Sweep(
+        "sbm_sweep",
+        ("n", "beta", "c", "alpha", "seed", "gamma1", "gamma2", "gamma3", "gamma4")
+        + ("overlap1", "overlap2"),
+        _sbm_trial,
+        ("gamma1", "gamma2", "overlap1", "overlap2"),
+        theory=_sbm_theory,
+    ),
+    "decompose-check": _Sweep(
+        "decompose_check",
+        ("n", "seed", "alpha", "c_lambda", "remainder_norm", "gap"),
+        _decompose_trial,
+        ("remainder_norm",),
+        summary=_decompose_medians,
+    ),
+}
+
+
+def run_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[str, Path]:
+    """One CSV row per (n, c, trial) from the experiment's trial kernel,
+    then its summary rows, its per-c theory JSON and one SVG per plotted
+    column (a single plot is named after the sweep and keyed "svg")."""
+    sweep = _SWEEPS[cfg.experiment]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    alpha = _alpha_float(cfg)
     tuples = [(n, c, t) for n in cfg.n_list for c in cfg.c_grid for t in range(cfg.trials_per_point)]
 
     def worker(index: int, tup):
-        n, c, trial = tup
-        seed = derive_seed(cfg.base_seed, index)
-        delta = 2.0 * c * float(n) ** (alpha - 0.5)
-        spec = SbmSpec(
-            n,
-            cfg.beta,
-            dist.shifted(cfg.within, +0.5 * delta),
-            dist.shifted(cfg.across, -0.5 * delta),
-        )
-        r = run_sbm_trial(spec, cfg.f, seed)
-        g = r.top_eigenvalues
-        return (n, cfg.beta, c, alpha, seed, g[0], g[1], g[2], g[3], r.overlap_top, r.overlap_second)
+        return sweep.trial(cfg, *tup, derive_seed(cfg.base_seed, index))
 
     rows = _run_tuples(worker, tuples, threads)
-    csv_path = out_dir / "sbm_sweep.csv"
-    _write_csv(
-        csv_path,
-        cfg,
-        ["n", "beta", "c", "alpha", "seed", "gamma1", "gamma2", "gamma3", "gamma4", "overlap1", "overlap2"],
-        rows,
-    )
-    theory = []
-    for c in cfg.c_grid:
-        pred = sbm_recovery_prediction(cfg.f, cfg.within, cfg.across, c, cfg.alpha)
-        entry = pred.to_json() | {"c": c, "beta": cfg.beta}
-        if abs(cfg.beta - 0.5) > 1e-12:
-            # closed forms hold at beta = 1/2 only; beta != 1/2 gets the
-            # QVE-based outlier location instead
-            entry["closed_form_valid"] = False
-            if pred.kappa is not None and pred.regime == "critical":
-                s = sd_f_centered(cfg.f, cfg.within)
-                sb = sd_f_centered(cfg.f, cfg.across)
-                loc = sbm_numeric_outlier(cfg.beta, s, sb, pred.kappa)
-                entry["qve_outlier_limit"] = loc
-        theory.append(entry)
-    theory_path = out_dir / "sbm_sweep_theory.json"
-    theory_path.write_text(json.dumps(theory, indent=2, sort_keys=True) + "\n")
-    artifacts = {"csv": csv_path, "theory": theory_path}
-    for col in ("gamma1", "gamma2", "overlap1", "overlap2"):
-        artifacts[f"svg_{col}"] = emit_plot(
-            csv_path, "lines", y_column=col, out_path=out_dir / f"sbm_sweep_{col}.svg"
+    if sweep.summary is not None:
+        rows += sweep.summary(cfg, rows)
+    csv_path = out_dir / f"{sweep.stem}.csv"
+    _write_csv(csv_path, cfg, sweep.header, rows)
+    artifacts = {"csv": csv_path}
+    if sweep.theory is not None:
+        theory = [sweep.theory(cfg, c) for c in cfg.c_grid]
+        artifacts["theory"] = _write_json(out_dir / f"{sweep.stem}_theory.json", theory)
+    single = len(sweep.plots) == 1
+    for col in sweep.plots:
+        name = sweep.stem if single else f"{sweep.stem}_{col}"
+        artifacts["svg" if single else f"svg_{col}"] = emit_plot(
+            csv_path, "lines", y_column=col, out_path=out_dir / f"{name}.svg"
         )
     return artifacts
-
-
-# ---------------------------------------------------------------------------
-# decompose-check
-# ---------------------------------------------------------------------------
-
-
-def run_decompose_check(
-    cfg: ExperimentConfig, out_dir, threads: int | None = None
-) -> dict[str, Path]:
-    """Remainder norms of the signal-plus-noise approximation.
-
-    Per-trial rows carry seed >= 0; per-n median summary rows are
-    appended with seed = -1 and trial data aggregated over the c grid.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    alpha = _alpha_float(cfg)
-    tuples = [(n, c, t) for n in cfg.n_list for c in cfg.c_grid for t in range(cfg.trials_per_point)]
-
-    def worker(index: int, tup):
-        n, c, trial = tup
-        seed = derive_seed(cfg.base_seed, index)
-        W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
-        x = rademacher_signal(n, derive_seed(seed, 1))
-        sp = SpikeParams(c, cfg.alpha, n)
-        report = signal_plus_noise(W, cfg.f, sp, x, WignerEnsemble(cfg.noise))
-        return (n, seed, alpha, c, report.remainder_norm, int(report.gap))
-
-    rows = _run_tuples(worker, tuples, threads)
-    all_rows = list(rows)
-    for n in cfg.n_list:
-        values = [r[4] for r in rows if r[0] == n]
-        all_rows.append((n, -1, alpha, cfg.c_grid[0], float(np.median(values)), 0))
-    csv_path = out_dir / "decompose_check.csv"
-    _write_csv(
-        csv_path, cfg, ["n", "seed", "alpha", "c_lambda", "remainder_norm", "gap"], all_rows
-    )
-    svg = emit_plot(
-        csv_path, "lines", y_column="remainder_norm", out_path=out_dir / "decompose_check.svg"
-    )
-    return {"csv": csv_path, "svg": svg}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +226,6 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
     out_dir.mkdir(parents=True, exist_ok=True)
     n = cfg.n_list[0]
     c = cfg.c_grid[0]
-    alpha = _alpha_float(cfg)
     seed = derive_seed(cfg.base_seed, 0)
 
     if cfg.model == "wigner":
@@ -250,14 +235,7 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
         sigma = sigma_bar = sd_f(cfg.f, cfg.noise)
         beta = 0.5
     else:
-        delta = 2.0 * c * float(n) ** (alpha - 0.5)
-        spec = SbmSpec(
-            n,
-            cfg.beta,
-            dist.shifted(cfg.within, +0.5 * delta),
-            dist.shifted(cfg.across, -0.5 * delta),
-        )
-        A = sample_sbm_adjacency(spec, seed)
+        A = sample_sbm_adjacency(_shifted_spec(cfg, n, c), seed)
         Y = transform_and_embed(A, cfg.f)
         sigma = sd_f_centered(cfg.f, cfg.within)
         sigma_bar = sd_f_centered(cfg.f, cfg.across)
@@ -273,7 +251,7 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
     rows = [("esd", float(x), float(y)) for x, y in zip(centers, density)]
     rows += [("qve", float(x), float(y)) for x, y in zip(tau, rho)]
     csv_path = out_dir / "esd.csv"
-    _write_csv(csv_path, cfg, ["series", "x", "y"], rows)
+    _write_csv(csv_path, cfg, ("series", "x", "y"), rows)
     svg = emit_plot(csv_path, "histogram-overlay", out_path=out_dir / "esd.svg")
     return {"csv": csv_path, "svg": svg}
 
@@ -294,18 +272,10 @@ def run_predict(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> d
         else:
             pred = sbm_recovery_prediction(cfg.f, cfg.within, cfg.across, c, cfg.alpha)
         entries.append(pred.to_json() | {"c": c})
-    path = Path(out_dir) / "predictions.json"
-    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    return {"json": path}
+    return {"json": _write_json(out_dir / "predictions.json", entries)}
 
 
-_RUNNERS = {
-    "signed-sweep": run_signed_sweep,
-    "sbm-sweep": run_sbm_sweep,
-    "decompose-check": run_decompose_check,
-    "esd": run_esd,
-    "predict": run_predict,
-}
+_RUNNERS = dict.fromkeys(_SWEEPS, run_sweep) | {"esd": run_esd, "predict": run_predict}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int | None = None):

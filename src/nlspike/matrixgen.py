@@ -8,18 +8,15 @@ full matrix is 128 MB.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
 from .distributions import Distribution
-from .errors import FormatError, ParameterError
+from .errors import ParameterError
 from .nonlinearity import NonlinearFn, apply_elementwise
 from .rng import derive_seed
-
-MAGIC = b"NLSRM1\x00\x00"
 
 
 @dataclass(frozen=True)
@@ -162,40 +159,3 @@ def assemble_observation(
     lam = sp.signal_strength
     perturbed = W + (lam * np.sqrt(n)) * np.outer(xv, xv)
     return apply_elementwise(f, perturbed) / np.sqrt(n)
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    """Binary layout: 8-byte magic, n as little-endian u64, row-major f64."""
-    M = np.asarray(M, dtype="<f8")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {M.shape}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", M.shape[0]))
-        fh.write(np.ascontiguousarray(M).tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:8] != MAGIC:
-            raise FormatError(f"{path}: bad or missing matrix header")
-        (n,) = struct.unpack("<Q", header[8:])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise FormatError(f"{path}: expected {n * n} values, found {data.size}")
-    return data.reshape(n, n).astype(float)
-
-
-def save_matrix_csv(path, M: np.ndarray) -> None:
-    """Plain CSV export for small matrices."""
-    np.savetxt(path, np.asarray(M, dtype=float), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

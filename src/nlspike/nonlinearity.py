@@ -338,11 +338,11 @@ def sd_f_centered(f: NonlinearFn, d: Distribution, **kwargs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _effective_k_max(f: NonlinearFn, k_max: int) -> tuple[int, bool]:
+def _effective_k_max(f: NonlinearFn, k_max: int) -> int:
     """Clamp the scan range for polynomials, where the tail is exactly zero."""
     if isinstance(f, Polynomial):
-        return min(k_max, f.degree), True
-    return k_max, False
+        return min(k_max, f.degree)
+    return k_max
 
 
 def _scan_index(k_values, magnitude, tol: float) -> int | float:
@@ -369,7 +369,7 @@ def even_odd_index(
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    k_hi, _ = _effective_k_max(f, k_max)
+    k_hi = _effective_k_max(f, k_max)
 
     def mag(k):
         value, err, _ = expectation(derivative(f, k), d, **kwargs)
@@ -396,7 +396,7 @@ def signal_constant_index(
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    k_hi, _ = _effective_k_max(f, k_max)
+    k_hi = _effective_k_max(f, k_max)
     _, cd = dist.mean_and_center(d)
     _, cdb = dist.mean_and_center(d_bar)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .matrixgen import SbmSpec, community_signal, sample_sbm_adjacency
-from .nonlinearity import NonlinearFn, apply_elementwise, signal_constant_index
+from .nonlinearity import NonlinearFn, apply_elementwise
 from .spectral import sym_eig_top
 
 
@@ -21,6 +21,11 @@ def transform_and_embed(A: np.ndarray, f: NonlinearFn) -> np.ndarray:
     """f(A) / sqrt(n), element-wise; symmetry is preserved exactly."""
     A = np.asarray(A, dtype=float)
     return apply_elementwise(f, A) / np.sqrt(A.shape[0])
+
+
+def _sign_labels(v: np.ndarray) -> np.ndarray:
+    """+-1 labels from a sign pattern; zero entries map to +1."""
+    return np.where(v >= 0.0, 1.0, -1.0)
 
 
 def recover_communities(Y: np.ndarray, which: int) -> np.ndarray:
@@ -34,8 +39,7 @@ def recover_communities(Y: np.ndarray, which: int) -> np.ndarray:
     if Y.shape[0] < 2:
         raise ParameterError("need dimension >= 2 to recover two communities")
     pairs = sym_eig_top(Y, which)
-    v = pairs.vectors[:, which - 1]
-    return np.where(v >= 0.0, 1.0, -1.0)
+    return _sign_labels(pairs.vectors[:, which - 1])
 
 
 def overlap(labels: np.ndarray, truth: np.ndarray) -> float:
@@ -56,7 +60,6 @@ class SbmTrialResult:
     top_eigenvalues: tuple[float, float, float, float]
     overlap_top: float
     overlap_second: float
-    labels_recovered_from: int  # eigenpair the index ordering points at
 
     def __post_init__(self):
         if not (0.0 <= self.overlap_top <= 1.0 and 0.0 <= self.overlap_second <= 1.0):
@@ -66,10 +69,11 @@ class SbmTrialResult:
 def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     """One generate -> transform -> embed -> recover -> score pass.
 
-    Both the top and second eigenvector recoveries are scored so a
-    misprediction of the signal-carrying pair remains observable; the
-    predicted pair (from the index ordering of f against the block laws)
-    is recorded alongside.
+    Both the top and second eigenvector recoveries are scored, from one
+    top-4 eigensolve, so a misprediction of the signal-carrying pair
+    remains observable. Which pair carries the signal is a property of
+    f and the block laws, not of the trial: it is
+    RegimePrediction.which_eigenpair of `sbm_recovery_prediction`.
     """
     A = sample_sbm_adjacency(spec, seed)
     Y = transform_and_embed(A, f)
@@ -78,16 +82,8 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     top4 = tuple(float(v) for v in pairs.values) + (float("nan"),) * (4 - k)
 
     _, truth = community_signal(spec.n, spec.beta)
-    labels1 = np.where(pairs.vectors[:, 0] >= 0.0, 1.0, -1.0)
-    overlap1 = overlap(labels1, truth)
-    if k >= 2:
-        labels2 = np.where(pairs.vectors[:, 1] >= 0.0, 1.0, -1.0)
-        overlap2 = overlap(labels2, truth)
-    else:
-        overlap2 = 0.0
-
-    j_s, j_c = signal_constant_index(f, spec.within, spec.across)
-    recovered_from = 2 if j_s > j_c else 1
+    overlap1 = overlap(_sign_labels(pairs.vectors[:, 0]), truth)
+    overlap2 = overlap(_sign_labels(pairs.vectors[:, 1]), truth) if k >= 2 else 0.0
     return SbmTrialResult(
         spec.n,
         spec.beta,
@@ -96,5 +92,4 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
         top4,
         overlap1,
         overlap2,
-        recovered_from,
     )

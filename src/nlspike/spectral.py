@@ -32,6 +32,8 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {M.shape}")
     scale = np.max(np.abs(M)) if M.size else 0.0
+    if not np.isfinite(scale):
+        raise ContractError("matrix has non-finite entries")
     if scale > 0.0:
         asym = np.max(np.abs(M - M.T))
         if asym > SYMMETRY_RTOL * scale:

@@ -39,7 +39,6 @@ from .nonlinearity import (
 )
 
 KAPPA_DEAD_ZONE = 1e-9
-ALPHA_SNAP_TOL = 1e-12
 
 
 def stieltjes_semicircle(z: complex, sigma: float) -> complex:
@@ -91,8 +90,10 @@ class RegimePrediction:
     signal-unrecoverable (no community contribution), and
     trivially-recoverable (zeroth-order community contribution).
     outlier_limit is a float, or the string "diverges" above the
-    critical exponent. at_threshold flags the unstable dead zone
-    |kappa - sigma_f| <= 1e-9 where the limit theorems do not apply.
+    critical exponent. alignment_limit is the unsquared alignment
+    |<u, x>|, whereas bbp_prediction returns its square. at_threshold
+    flags the unstable dead zone |kappa - sigma_f| <= 1e-9 where the
+    limit theorems do not apply.
     """
 
     model: str

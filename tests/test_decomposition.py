@@ -25,11 +25,11 @@ STD_NORMAL = Gaussian(0.0, 1.0)
 
 
 def test_ell_of_alpha_examples():
-    assert ell_of_alpha(0.0) == (1, False)
-    assert ell_of_alpha(0.25) == (2, False)
-    assert ell_of_alpha(1.0 / 3.0) == (3, False)
-    assert ell_of_alpha(Fraction(1, 3)) == (3, False)
-    assert ell_of_alpha(Fraction(1, 4)) == (2, False)
+    assert ell_of_alpha(0.0) == 1
+    assert ell_of_alpha(0.25) == 2
+    assert ell_of_alpha(1.0 / 3.0) == 3
+    assert ell_of_alpha(Fraction(1, 3)) == 3
+    assert ell_of_alpha(Fraction(1, 4)) == 2
 
 
 def test_ell_of_alpha_domain():
@@ -42,8 +42,7 @@ def test_ell_of_alpha_domain():
 @given(st.fractions(min_value=0, max_value=Fraction(499, 1000)))
 @settings(max_examples=300, deadline=None)
 def test_ell_interval_membership_exact(alpha):
-    ell, gap = ell_of_alpha(alpha)
-    assert gap is False
+    ell = ell_of_alpha(alpha)
     assert Fraction(ell - 1, 2 * ell) <= alpha < Fraction(ell, 2 * ell + 2)
 
 
@@ -96,7 +95,6 @@ def test_signal_plus_noise_coefficients_alpha_third():
     sp = SpikeParams(c, Fraction(1, 3), n)
     report = dc.signal_plus_noise(W, F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
     assert report.ell == 3
-    assert report.gap is False
     by_k = {t.k: t for t in report.spikes}
     assert set(by_k) == {1, 2, 3}
     # mu_{f'} = 0 kills k=1; k=2 rides the ones direction at

@@ -8,6 +8,7 @@ from nlspike.errors import ConfigError, FormatError
 from nlspike.harness import (
     emit_plot,
     fit_transition_midpoint,
+    load_config,
     load_table,
     parse_config,
     run_experiment,
@@ -297,6 +298,31 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
 
     wrong_cmd = write_cfg(tmp_path, signed_cfg(n_list=[40], c_grid=[1.0], trials_per_point=1))
     assert cli_main(["sbm-sweep", "--config", str(wrong_cmd)]) == 2
+
+    # x^3 at c = 1e200 overflows to non-finite entries: ContractError, not a traceback
+    overflow = write_cfg(
+        tmp_path,
+        signed_cfg(
+            n_list=[40],
+            c_grid=[1e200],
+            trials_per_point=1,
+            f={"kind": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1.0]},
+        ),
+    )
+    assert cli_main(["signed-sweep", "--config", str(overflow), "--out", str(tmp_path / "o")]) == 2
+
+    # abs has no third derivative: CapabilityError
+    no_capability = write_cfg(
+        tmp_path,
+        {
+            "experiment": "predict",
+            "c_grid": [1.0],
+            "alpha": "1/3",
+            "f": {"kind": "named", "tag": "abs"},
+            "noise": GAUSS_JSON,
+        },
+    )
+    assert cli_main(["predict", "--config", str(no_capability), "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
 
 
@@ -328,3 +354,30 @@ def test_cli_seed_override_changes_output(tmp_path, capsys):
     # same override agrees after dropping the hash comment; different differs
     assert a.splitlines()[1:] == b.splitlines()[1:]
     assert a.splitlines()[2:] != c.splitlines()[2:]
+
+
+# ---------------------------------------------------------------------------
+# sample configs
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SWEEP_KEYS = {"csv", "theory", "svg_gamma1", "svg_gamma2"}
+ARTIFACT_KEYS = {
+    "signed-sweep": SWEEP_KEYS | {"svg_corr_u1_ones", "svg_corr_u2_zeta"},
+    "sbm-sweep": SWEEP_KEYS | {"svg_overlap1", "svg_overlap2"},
+    "decompose-check": {"csv", "svg"},
+    "esd": {"csv", "svg"},
+    "predict": {"json"},
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_sample_config_runs(path, tmp_path):
+    cfg = load_config(path)
+    if cfg.experiment == "esd":
+        cfg = parse_config(dict(cfg.raw, n_list=[60]))  # beta * n integral at beta = 1/3
+    elif cfg.experiment != "predict":
+        cfg = parse_config(dict(cfg.raw, n_list=[30], trials_per_point=1))
+    arts = run_experiment(cfg, tmp_path, threads=1)
+    assert set(arts) == ARTIFACT_KEYS[cfg.experiment]
+    assert all(Path(p).is_file() for p in arts.values())

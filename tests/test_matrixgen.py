@@ -5,7 +5,7 @@ import pytest
 
 from nlspike import matrixgen as mg
 from nlspike.distributions import Gaussian, Rademacher, mean
-from nlspike.errors import FormatError, ParameterError
+from nlspike.errors import ParameterError
 from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams
 from nlspike.nonlinearity import Polynomial
 from nlspike.spectral import operator_norm
@@ -184,29 +184,3 @@ def test_centered_sum_convention():
     centered = spec.centered_sum()
     assert mean(centered.within) + mean(centered.across) == pytest.approx(0.0, abs=1e-12)
     assert centered.delta() == pytest.approx(spec.delta(), abs=1e-12)
-
-
-def test_matrix_binary_round_trip(tmp_path):
-    M = mg.sample_wigner(17, Gaussian(0, 1), seed=30)
-    path = tmp_path / "m.bin"
-    mg.save_matrix(path, M)
-    raw = path.read_bytes()
-    assert raw[:8] == b"NLSRM1\x00\x00"
-    assert int.from_bytes(raw[8:16], "little") == 17
-    back = mg.load_matrix(path)
-    assert np.array_equal(back, M)
-
-
-def test_matrix_binary_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        mg.load_matrix(path)
-
-
-def test_matrix_csv_round_trip(tmp_path):
-    M = mg.sample_wigner(5, Gaussian(0, 1), seed=31)
-    path = tmp_path / "m.csv"
-    mg.save_matrix_csv(path, M)
-    back = mg.load_matrix_csv(path)
-    assert np.allclose(back, M, atol=0, rtol=0)

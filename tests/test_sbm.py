@@ -93,7 +93,6 @@ def test_trial_supercritical_recovers():
     delta = 2.0 * c * n ** (-1.0 / 6.0)
     spec = SbmSpec(n, 0.5, Gaussian(delta / 2, 1.0), Gaussian(-delta / 2, 1.0))
     result = sbm.run_sbm_trial(spec, F_SBM, seed=4)
-    assert result.labels_recovered_from == 2
     assert result.overlap_second >= 0.8
     assert result.overlap_top <= 0.2  # top pair is the constant spike
 

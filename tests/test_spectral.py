@@ -63,6 +63,14 @@ def test_sym_eig_rejects_asymmetric():
         sp.sym_eig_top(np.eye(3), 4)
 
 
+def test_sym_eig_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        M = np.eye(3)
+        M[1, 1] = bad
+        with pytest.raises(ContractError):
+            sp.sym_eig_top(M, 1)
+
+
 def test_full_reconstruction_small():
     rng = np.random.default_rng(11)
     for n in (20, 120, 200):

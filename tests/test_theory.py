@@ -96,6 +96,15 @@ def test_signed_recovery_critical_example():
     assert pred.indices == {"I_e": 2.0, "I_o": 3.0}
 
 
+def test_alignment_limit_is_unsquared_bbp_alignment():
+    # bbp_prediction returns the squared alignment; alignment_limit is unsquared
+    pred = theory.signed_recovery_prediction(F_CUBIC, STD_NORMAL, 2.0, Fraction(1, 3))
+    assert pred.regime == "critical" and pred.kappa > pred.sigma_f
+    outlier, align_sq = theory.bbp_prediction(pred.kappa, pred.sigma_f)
+    assert pred.outlier_limit == pytest.approx(outlier, rel=1e-12)
+    assert pred.alignment_limit**2 == pytest.approx(align_sq, rel=1e-12)
+
+
 def test_signed_recovery_weak_critical_example():
     pred = theory.signed_recovery_prediction(F_CUBIC, STD_NORMAL, 1.0, Fraction(1, 3))
     assert pred.regime == "critical"
