@@ -37,6 +37,10 @@ def _as_fraction(alpha) -> Fraction:
     return a
 
 
+# Float alphas within this distance of a rational boundary snap onto it.
+ALPHA_SNAP = Fraction(1, 10**12)
+
+
 def ell_of_alpha(alpha) -> int:
     """Taylor order ell for a strength exponent alpha in [0, 1/2).
 
@@ -47,9 +51,9 @@ def ell_of_alpha(alpha) -> int:
     alpha in it has an order.
 
     Exact rational arithmetic is used throughout. Float inputs within
-    1e-12 of an interval boundary (a rational (ell-1)/(2 ell)) are
-    snapped to that boundary so that e.g. alpha=1/3 classifies on the
-    closed left end it represents.
+    ALPHA_SNAP (1e-12) of an interval boundary (a rational
+    (ell-1)/(2 ell)) are snapped to that boundary so that e.g. alpha=1/3
+    classifies on the closed left end it represents.
     """
     a = _as_fraction(alpha)
     if not (0 <= a < Fraction(1, 2)):
@@ -58,7 +62,7 @@ def ell_of_alpha(alpha) -> int:
     ell = math.floor(t) + 1
     if isinstance(alpha, float):
         upper = Fraction(ell, 2 * ell + 2)  # left end of the (ell+1)-interval
-        if abs(a - upper) <= Fraction(1, 10**12):
+        if abs(a - upper) <= ALPHA_SNAP:
             ell += 1
     return ell
 

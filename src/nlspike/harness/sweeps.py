@@ -140,11 +140,12 @@ def _decompose_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: 
 
 
 def _decompose_medians(cfg: ExperimentConfig, rows: list[tuple]) -> list[tuple]:
-    """Per-n median rows, seed = -1, aggregated over the c grid."""
+    """Median remainder per (n, c) in n_list x c_grid order, seed = -1."""
     alpha = float(cfg.alpha)
     return [
-        (n, -1, alpha, cfg.c_grid[0], float(np.median([r[4] for r in rows if r[0] == n])), 0)
+        (n, -1, alpha, c, float(np.median([r[4] for r in rows if r[0] == n and r[3] == c])), 0)
         for n in cfg.n_list
+        for c in cfg.c_grid
     ]
 
 

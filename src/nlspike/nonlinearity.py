@@ -14,6 +14,8 @@ a Monte Carlo fallback with a reported standard error.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,20 +143,24 @@ def derivative(f: NonlinearFn, k: int) -> NonlinearFn:
     return Named(f.tag, total)
 
 
+def _horner(coeffs: tuple[float, ...], x: np.ndarray):
+    """sum_j coeffs[j] x^j as out = out * x + c from the top coefficient,
+    updated in place: the same IEEE operations as the out-of-place form,
+    without its two temporaries per coefficient."""
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out *= x
+        out += c
+    return out[()]  # a scalar for 0-d input, as out-of-place numpy gives
+
+
 def evaluate(f: NonlinearFn, x):
     """f applied to a scalar or ndarray."""
     x = np.asarray(x, dtype=float)
     if isinstance(f, Polynomial):
-        out = np.zeros_like(x)
-        for c in reversed(f.coeffs):
-            out = out * x + c
-        return out
+        return _horner(f.coeffs, x)
     if f.tag == "tanh":
-        t = np.tanh(x)
-        out = np.zeros_like(t)
-        for c in reversed(_tanh_deriv_tcoeffs(f.order)):
-            out = out * t + c
-        return out
+        return _horner(_tanh_deriv_tcoeffs(f.order), np.tanh(x))
     if f.tag == "abs":
         return np.abs(x) if f.order == 0 else np.sign(x)
     # relu; derivative takes the value 0 at the kink.
@@ -162,8 +168,13 @@ def evaluate(f: NonlinearFn, x):
 
 
 def apply_elementwise(f: NonlinearFn, M: np.ndarray) -> np.ndarray:
-    """Element-wise image of M; symmetry of M is preserved exactly."""
-    return evaluate(f, np.asarray(M, dtype=float))
+    """Element-wise image of M; symmetry of M is preserved exactly.
+
+    Overflow is silent here: a non-finite image is reported once, by
+    spectral's finiteness check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return evaluate(f, np.asarray(M, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +250,51 @@ def expectation(
     return value, err, f"monte-carlo({mc_samples}, seed={mc_seed})"
 
 
+# The memo of the open shared_moments() block, None outside one.
+_memo: ContextVar[dict | None] = ContextVar("nlspike_moment_memo", default=None)
+
+
+@contextmanager
+def shared_moments():
+    """Evaluate each distinct moment once while the block is open.
+
+    Inside the block, the expectations taken by derivative_moment,
+    gamma_moment, moment_table, sd_f and the index scans are keyed by the
+    full expectation() argument tuple with defaults bound, and sd_f by its
+    own; a repeated key returns the stored result, which is what a fresh
+    call would return. The memo is made on entry and dropped on exit, so
+    nothing carries over between blocks; used as a decorator, each call
+    opens its own block.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _shared(key: tuple, compute):
+    memo = _memo.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _expect(
+    f: NonlinearFn,
+    d: Distribution,
+    method: str = "auto",
+    gh_nodes: int = DEFAULT_GH_NODES,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_seed: int = 0,
+) -> tuple[float, float, str]:
+    """expectation(), through the memo of the open shared_moments() block."""
+    args = (f, d, method, gh_nodes, mc_samples, mc_seed)
+    return _shared(("expectation",) + args, lambda: expectation(*args))
+
+
 def derivative_moment(
     f: NonlinearFn,
     k: int,
@@ -249,7 +305,7 @@ def derivative_moment(
     mc_seed: int = 0,
 ) -> float:
     """mu_{f^(k)} = E f^(k)(Z) with Z ~ d."""
-    value, _, _ = expectation(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
+    value, _, _ = _expect(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
     return value
 
 
@@ -280,7 +336,7 @@ def moment_table(
     """
     values, errs, methods = {}, {}, set()
     for k in range(k_max + 1):
-        v, e, m = expectation(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
+        v, e, m = _expect(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
         values[k], errs[k] = v, e
         methods.add(m)
     return MomentTable(values, errs, " + ".join(sorted(methods)))
@@ -295,12 +351,17 @@ def sd_f(
     mc_seed: int = 0,
 ) -> float:
     """Standard deviation of f(Z) with Z ~ d."""
+    args = (f, d, method, gh_nodes, mc_samples, mc_seed)
+    return _shared(("sd_f",) + args, lambda: _sd_f(*args))
+
+
+def _sd_f(f, d, method, gh_nodes, mc_samples, mc_seed) -> float:
     if isinstance(f, Polynomial) and method in ("auto", "closed-form"):
         sq = np.convolve(f.coeffs, f.coeffs)
         mean_sq = sum(c * dist.moment(d, j) for j, c in enumerate(sq) if c != 0.0)
         mean_f = _poly_expectation(f, d)
         return math.sqrt(max(mean_sq - mean_f**2, 0.0))
-    mean_f, _, _ = expectation(f, d, method, gh_nodes, mc_samples, mc_seed)
+    mean_f, _, _ = _expect(f, d, method, gh_nodes, mc_samples, mc_seed)
     sq_fn = (lambda x: (evaluate(f, x) - mean_f) ** 2)
     if dist.atoms(d) is not None and method in ("auto", "closed-form"):
         var = sum(w * float(sq_fn(np.asarray(v))) for v, w in dist.atoms(d))
@@ -372,7 +433,7 @@ def even_odd_index(
     k_hi = _effective_k_max(f, k_max)
 
     def mag(k):
-        value, err, _ = expectation(derivative(f, k), d, **kwargs)
+        value, err, _ = _expect(derivative(f, k), d, **kwargs)
         return value, err
 
     i_e = _scan_index(range(0, k_hi + 1, 2), mag, tol)
@@ -402,8 +463,8 @@ def signal_constant_index(
 
     def combo(sign_exponent):
         def mag(k):
-            g, eg, _ = expectation(derivative(f, k), cd, **kwargs)
-            gb, eb, _ = expectation(derivative(f, k), cdb, **kwargs)
+            g, eg, _ = _expect(derivative(f, k), cd, **kwargs)
+            gb, eb, _ = _expect(derivative(f, k), cdb, **kwargs)
             return g + (-1.0) ** (k + sign_exponent) * gb, math.hypot(eg, eb)
 
         return mag

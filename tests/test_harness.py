@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,31 @@ def test_decompose_check_zero_strength_rows(tmp_path):
     assert np.all(table["gap"] == 0.0)
 
 
+def test_decompose_check_summary_rows_per_strength(tmp_path):
+    raw = {
+        "experiment": "decompose-check",
+        "n_list": [40],
+        "c_grid": [0.0, 2.0],
+        "alpha": 0.25,
+        "trials_per_point": 2,
+        "f": F_JSON,
+        "noise": GAUSS_JSON,
+        "base_seed": 1,
+    }
+    arts = run_experiment(parse_config(raw), tmp_path)
+    table = load_table(arts["csv"])
+    trials = table["seed"] >= 0
+    summary = ~trials
+    # one median row per (n, c), each under its own c
+    assert list(table["c_lambda"][summary]) == [0.0, 2.0]
+    for c in (0.0, 2.0):
+        own = trials & (table["c_lambda"] == c)
+        expected = np.median(table["remainder_norm"][own])
+        assert table["remainder_norm"][summary & (table["c_lambda"] == c)][0] == expected
+    assert table["remainder_norm"][summary][0] == 0.0
+    assert table["remainder_norm"][summary][1] > 0.0
+
+
 def test_esd_emits_both_series(tmp_path):
     raw = {
         "experiment": "esd",
@@ -309,7 +335,12 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
             f={"kind": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1.0]},
         ),
     )
-    assert cli_main(["signed-sweep", "--config", str(overflow), "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["signed-sweep", "--config", str(overflow), "--out", str(tmp_path / "o")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
 
     # abs has no third derivative: CapabilityError
     no_capability = write_cfg(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlspike import distributions as dist
 from nlspike import nonlinearity as nlfn
 from nlspike.distributions import Gaussian, Rademacher, Uniform
 from nlspike.errors import CapabilityError, ParameterError
@@ -93,6 +94,37 @@ def test_apply_elementwise_preserves_symmetry_exactly():
     M = M + M.T
     out = nlfn.apply_elementwise(F_CUBIC, M)
     assert np.array_equal(out, out.T)
+
+
+def _horner_out_of_place(coeffs, x):
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def test_evaluate_matches_out_of_place_horner_bit_for_bit():
+    M = np.random.default_rng(3).standard_normal((300, 300))
+    M_before = M.copy()
+    got = nlfn.evaluate(F_CUBIC, M)
+    assert got.tobytes() == _horner_out_of_place(F_CUBIC.coeffs, M).tobytes()
+    assert nlfn.apply_elementwise(F_CUBIC, M).tobytes() == got.tobytes()
+    assert M.tobytes() == M_before.tobytes()
+
+    z = dist.sample(Uniform(-1.0, 1.0), 10_000, 7)
+    z_before = z.copy()
+    for order in range(17):
+        got = nlfn.evaluate(Named("tanh", order), z)
+        want = _horner_out_of_place(nlfn._tanh_deriv_tcoeffs(order), np.tanh(z))
+        assert got.tobytes() == want.tobytes(), order
+    assert z.tobytes() == z_before.tobytes()
+
+
+def test_evaluate_scalar_argument():
+    value = nlfn.evaluate(F_CUBIC, 2.0)  # 8 + 4 - 6 - 1
+    assert value == 5.0 and np.ndim(value) == 0 and isinstance(value, float)
+    assert nlfn.evaluate(Named("tanh", 1), 0.0) == 1.0
+    assert nlfn.evaluate(Named("tanh"), 0.5) == math.tanh(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +269,26 @@ def test_stein_identity(coeffs):
         lhs = nlfn.derivative_moment(f, k, STD_NORMAL)
         rhs = quad_gaussian(lambda x, k=k: nlfn.evaluate(f, x) * he_value(k, x))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_shared_moments_evaluates_each_key_once(monkeypatch):
+    calls = []
+    inner = nlfn._mc_expectation
+    monkeypatch.setattr(nlfn, "_mc_expectation", lambda *a: calls.append(a[1]) or inner(*a))
+    tanh, law = Named("tanh"), Uniform(-1.0, 1.0)
+    fresh = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)
+    with nlfn.shared_moments():
+        # positional and keyword spellings of one argument tuple share an entry
+        a = nlfn.derivative_moment(tanh, 1, law, "auto", nlfn.DEFAULT_GH_NODES, 1000, 0)
+        b = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)
+        c = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000, mc_seed=1)
+        s1 = nlfn.sd_f(tanh, law, mc_samples=1000)
+        s2 = nlfn.sd_f(tanh, law, "auto", mc_samples=1000)
+    assert a == b == fresh and c != a and s1 == s2
+    # fresh, then a/b once, c, and sd_f's mean plus its variance once
+    assert len(calls) == 5
+    nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)  # nothing outlives the block
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlspike import nonlinearity as nlfn
 from nlspike import theory
-from nlspike.distributions import Gaussian
+from nlspike.distributions import Gaussian, Uniform
 from nlspike.errors import ConvergenceError, ParameterError
-from nlspike.nonlinearity import Polynomial, hermite_fn
+from nlspike.nonlinearity import Named, Polynomial, hermite_fn
 
 F_CUBIC = Polynomial([-1.0, -3.0, 1.0, 1.0])  # He_2 + He_3
 F_SBM = hermite_fn({2: 2.25, 3: 1.0, 4: 1.0})
 STD_NORMAL = Gaussian(0.0, 1.0)
 SQRT8 = math.sqrt(8.0)
+TANH = Named("tanh")
+U11 = Uniform(-1.0, 1.0)  # tanh over Uniform laws has only the Monte Carlo path
+
+
+@pytest.fixture
+def mc_calls(monkeypatch):
+    """Laws of the Monte Carlo evaluations made while the test runs."""
+    calls = []
+    inner = nlfn._mc_expectation
+    monkeypatch.setattr(nlfn, "_mc_expectation", lambda *a: calls.append(a[1]) or inner(*a))
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +319,48 @@ def test_prediction_json():
     assert blob["threshold_exponent"] == "1/3"
     assert blob["indices"] == {"I_e": 2, "I_o": 3}
     assert blob["regime"] == "critical"
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per distinct moment within a prediction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d_bar, shared",
+    [(U11, 18), (Uniform(-0.5, 1.5), 36)],
+    ids=["equal-laws", "shifted-law"],
+)
+def test_sbm_prediction_evaluates_each_moment_once(mc_calls, d_bar, shared):
+    # composed from the public functions, each of which evaluates afresh
+    j_s, j_c = nlfn.signal_constant_index(TANH, U11, d_bar)
+    s = nlfn.sd_f_centered(TANH, U11)
+    sb = nlfn.sd_f_centered(TANH, d_bar)
+    g = nlfn.gamma_moment(TANH, j_s, U11)
+    gb = nlfn.gamma_moment(TANH, j_s, d_bar)
+    assert len(mc_calls) == 44
+    del mc_calls[:]
+
+    pred = theory.sbm_recovery_prediction(TANH, U11, d_bar, 2.0, "1/3")
+    assert len(mc_calls) == shared
+    assert pred.indices == {"J_s": float(j_s), "J_c": float(j_c)}
+    assert pred.sigma_f == math.sqrt(0.5 * (s**2 + sb**2))
+    sign = (-1.0) ** (j_s + 1)
+    assert pred.kappa == 2.0**j_s * (g + sign * gb) / (2.0 * math.factorial(j_s))
+
+
+def test_signed_prediction_evaluates_each_moment_once_per_call(mc_calls):
+    i_e, i_o = nlfn.even_odd_index(TANH, U11)
+    sigma_f = nlfn.sd_f(TANH, U11)
+    mu = nlfn.derivative_moment(TANH, i_o, U11)
+    assert len(mc_calls) == 13
+    del mc_calls[:]
+
+    pred = theory.signed_recovery_prediction(TANH, U11, 2.0, "1/4")
+    assert len(mc_calls) == 11
+    assert pred.indices == {"I_e": float(i_e), "I_o": float(i_o)}
+    assert pred.sigma_f == sigma_f
+    assert pred.kappa == 2.0**i_o / math.factorial(i_o) * mu
+    # the memo lives for one call: a repeat pays again and agrees bit for bit
+    assert theory.signed_recovery_prediction(TANH, U11, 2.0, "1/4") == pred
+    assert len(mc_calls) == 22
