@@ -217,24 +217,6 @@ def shifted(d: Distribution, delta: float) -> Distribution:
     raise CapabilityError(f"cannot shift a {type(d).__name__} law by a constant")
 
 
-def is_gaussian_family(d: Distribution) -> bool:
-    """True when d is Gaussian with std > 0, possibly under Centered wrappers."""
-    while isinstance(d, Centered):
-        d = d.inner
-    return isinstance(d, Gaussian) and d.std > 0.0
-
-
-def gaussian_params(d: Distribution) -> tuple[float, float]:
-    """(mean, std) of a Gaussian-family law (Centered wrappers resolved)."""
-    shift = 0.0
-    while isinstance(d, Centered):
-        shift += mean(d.inner)
-        d = d.inner
-    if not isinstance(d, Gaussian):
-        raise CapabilityError(f"{type(d).__name__} is not in the Gaussian family")
-    return d.mean - shift, d.std
-
-
 def to_json(d: Distribution) -> dict:
     if isinstance(d, Gaussian):
         return {"kind": "gaussian", "mean": d.mean, "std": d.std}

@@ -5,17 +5,17 @@ or a Named analytic function (abs, relu, tanh). Derivatives are symbolic:
 polynomial calculus for polynomials, sign/step conventions for abs and relu
 (value 0 at the kink), and a closed recursion in t = tanh(x) for tanh.
 
-Derivative moments mu_k = E f^(k)(Z) resolve to the cheapest exact path
-available (closed-form moments for polynomials, atom sums for finitely
-supported laws), then Gauss-Hermite quadrature for named x Gaussian, then
-a Monte Carlo fallback with a reported standard error.
+Derivative moments mu_k = E f^(k)(Z) are closed-form for polynomials.
+Every other f is summed over one deterministic rule per law: the atoms of
+a finitely supported law, Gauss-Hermite nodes for a Gaussian law, and
+Gauss-Legendre nodes for a Uniform law, split at 0 so that the kinks of
+abs and relu fall on a panel edge. Monte Carlo runs only on request, as a
+reference for the deterministic paths.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +30,7 @@ DEFAULT_GH_NODES = 64
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_INDEX_TOL = 1e-9
 DEFAULT_K_MAX = 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -186,20 +187,46 @@ def _poly_expectation(p: Polynomial, d: Distribution) -> float:
     return sum(c * dist.moment(d, j) for j, c in enumerate(p.coeffs) if c != 0.0)
 
 
-def _atom_expectation(f: NonlinearFn, d: Distribution) -> float:
-    pts = dist.atoms(d)
-    return sum(w * float(evaluate(f, v)) for v, w in pts)
-
-
-def _gauss_hermite_expectation(f, d: Distribution, nodes: int) -> float:
-    """E f(Z) for Gaussian-family Z by probabilist Gauss-Hermite quadrature.
-
-    `f` may be a NonlinearFn or a plain callable on ndarrays.
-    """
-    m, s = dist.gaussian_params(d)
+@lru_cache(maxsize=None)
+def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilist Gauss-Hermite nodes, weights scaled to sum to 1."""
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    vals = evaluate(f, m + s * x) if isinstance(f, (Polynomial, Named)) else f(m + s * x)
-    return float(np.dot(w, vals) / math.sqrt(2.0 * math.pi))
+    w = w / math.sqrt(2.0 * math.pi)
+    x.flags.writeable = w.flags.writeable = False  # cached, so shared by every caller
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def _legendre_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1], weights scaled to sum to 1."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    w = w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _rule(d: Distribution, nodes: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """(x, w, method) with E g(Z) ~= w @ g(x) for Z ~ d.
+
+    Exact on atoms; on a Gaussian or Uniform law exact for polynomial g of
+    degree below 2 * nodes per panel. A Uniform law that straddles 0 gets
+    one panel on each side, so a kink at 0 sits on a panel edge.
+    """
+    pts = dist.atoms(d)
+    if pts is not None:
+        x, w = np.array(pts).T
+        return x, w, "closed-form"
+    if isinstance(d, dist.Centered):
+        return _rule(dist.shifted(d.inner, -dist.mean(d.inner)), nodes)
+    if isinstance(d, dist.Gaussian):
+        t, w = _hermite_nodes(nodes)
+        return d.mean + d.std * t, w, f"gauss-hermite({nodes})"
+    edges = (d.lo, 0.0, d.hi) if d.lo < 0.0 < d.hi else (d.lo, d.hi)
+    t, w = _legendre_nodes(nodes)
+    panels = list(zip(edges, edges[1:]))
+    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in panels])
+    w = np.concatenate([w * ((b - a) / (d.hi - d.lo)) for a, b in panels])
+    return x, w, f"gauss-legendre({nodes})"
 
 
 def _mc_expectation(f, d: Distribution, samples: int, seed: int) -> tuple[float, float]:
@@ -221,78 +248,26 @@ def expectation(
 ) -> tuple[float, float, str]:
     """E f(Z) with Z ~ d.
 
-    Returns (value, standard_error, method_used); the error is 0 on the
-    exact and quadrature paths. `method` is one of auto, closed-form,
-    gauss-hermite, monte-carlo.
+    Returns (value, error, method_used). `method` is one of auto,
+    closed-form, gauss-hermite, monte-carlo. Polynomials take their closed
+    form (error 0); any other f is summed over the law's rule with
+    gh_nodes nodes per panel, and the error is that sum's rounding floor
+    len(x) * eps * (w @ |f(x)|), which leaves out rounding inside f itself.
+    Monte Carlo runs only when requested, as a reference; its error is the
+    standard error.
     """
     if method not in ("auto", "closed-form", "gauss-hermite", "monte-carlo"):
         raise ParameterError(f"unknown moment method {method!r}")
-    if method in ("auto", "closed-form"):
-        if isinstance(f, Polynomial):
-            return _poly_expectation(f, d), 0.0, "closed-form"
-        if dist.atoms(d) is not None:
-            return _atom_expectation(f, d), 0.0, "closed-form"
-        if method == "closed-form":
-            raise CapabilityError(
-                f"no closed form for {f!r} under {type(d).__name__}; "
-                "use gauss-hermite or monte-carlo"
-            )
-    if method in ("auto", "gauss-hermite"):
-        if dist.is_gaussian_family(d):
-            return _gauss_hermite_expectation(f, d, gh_nodes), 0.0, f"gauss-hermite({gh_nodes})"
-        if method == "gauss-hermite":
-            raise CapabilityError("gauss-hermite requires a Gaussian-family law")
-    if mc_samples < 2:
-        raise CapabilityError(
-            f"no exact path for {f!r} under {type(d).__name__} and no Monte Carlo budget"
-        )
-    value, err = _mc_expectation(f, d, mc_samples, mc_seed)
-    return value, err, f"monte-carlo({mc_samples}, seed={mc_seed})"
-
-
-# The memo of the open shared_moments() block, None outside one.
-_memo: ContextVar[dict | None] = ContextVar("nlspike_moment_memo", default=None)
-
-
-@contextmanager
-def shared_moments():
-    """Evaluate each distinct moment once while the block is open.
-
-    Inside the block, the expectations taken by derivative_moment,
-    gamma_moment, moment_table, sd_f and the index scans are keyed by the
-    full expectation() argument tuple with defaults bound, and sd_f by its
-    own; a repeated key returns the stored result, which is what a fresh
-    call would return. The memo is made on entry and dropped on exit, so
-    nothing carries over between blocks; used as a decorator, each call
-    opens its own block.
-    """
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _shared(key: tuple, compute):
-    memo = _memo.get()
-    if memo is None:
-        return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
-def _expect(
-    f: NonlinearFn,
-    d: Distribution,
-    method: str = "auto",
-    gh_nodes: int = DEFAULT_GH_NODES,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed: int = 0,
-) -> tuple[float, float, str]:
-    """expectation(), through the memo of the open shared_moments() block."""
-    args = (f, d, method, gh_nodes, mc_samples, mc_seed)
-    return _shared(("expectation",) + args, lambda: expectation(*args))
+    if method == "monte-carlo":
+        value, err = _mc_expectation(f, d, mc_samples, mc_seed)
+        return value, err, f"monte-carlo({mc_samples}, seed={mc_seed})"
+    if isinstance(f, Polynomial) and method != "gauss-hermite":
+        return _poly_expectation(f, d), 0.0, "closed-form"
+    x, w, used = _rule(d, gh_nodes)
+    if method != "auto" and not used.startswith(method):
+        raise CapabilityError(f"no {method} path for {f!r} under {type(d).__name__}")
+    vals = evaluate(f, x)
+    return float(w @ vals), len(x) * _EPS * float(w @ np.abs(vals)), used
 
 
 def derivative_moment(
@@ -305,7 +280,7 @@ def derivative_moment(
     mc_seed: int = 0,
 ) -> float:
     """mu_{f^(k)} = E f^(k)(Z) with Z ~ d."""
-    value, _, _ = _expect(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
+    value, _, _ = expectation(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
     return value
 
 
@@ -314,7 +289,6 @@ class MomentTable:
     """Derivative moments k -> mu_{f^(k)} with the method that produced them."""
 
     values: dict[int, float]
-    stderr: dict[int, float]
     method: str
 
     def __getitem__(self, k: int) -> float:
@@ -334,12 +308,11 @@ def moment_table(
 
     For polynomial f, entries past the degree are exact zeros.
     """
-    values, errs, methods = {}, {}, set()
+    values, methods = {}, set()
     for k in range(k_max + 1):
-        v, e, m = _expect(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
-        values[k], errs[k] = v, e
+        values[k], _, m = expectation(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
         methods.add(m)
-    return MomentTable(values, errs, " + ".join(sorted(methods)))
+    return MomentTable(values, " + ".join(sorted(methods)))
 
 
 def sd_f(
@@ -350,27 +323,19 @@ def sd_f(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     mc_seed: int = 0,
 ) -> float:
-    """Standard deviation of f(Z) with Z ~ d."""
-    args = (f, d, method, gh_nodes, mc_samples, mc_seed)
-    return _shared(("sd_f",) + args, lambda: _sd_f(*args))
-
-
-def _sd_f(f, d, method, gh_nodes, mc_samples, mc_seed) -> float:
+    """Standard deviation of f(Z) with Z ~ d, on the path expectation takes."""
     if isinstance(f, Polynomial) and method in ("auto", "closed-form"):
         sq = np.convolve(f.coeffs, f.coeffs)
         mean_sq = sum(c * dist.moment(d, j) for j, c in enumerate(sq) if c != 0.0)
         mean_f = _poly_expectation(f, d)
         return math.sqrt(max(mean_sq - mean_f**2, 0.0))
-    mean_f, _, _ = _expect(f, d, method, gh_nodes, mc_samples, mc_seed)
-    sq_fn = (lambda x: (evaluate(f, x) - mean_f) ** 2)
-    if dist.atoms(d) is not None and method in ("auto", "closed-form"):
-        var = sum(w * float(sq_fn(np.asarray(v))) for v, w in dist.atoms(d))
-    elif dist.is_gaussian_family(d) and method in ("auto", "gauss-hermite"):
-        var = _gauss_hermite_expectation(sq_fn, d, gh_nodes)
-    else:
-        if mc_samples < 2:
-            raise CapabilityError("no exact path for sd_f and no Monte Carlo budget")
+    mean_f, _, _ = expectation(f, d, method, gh_nodes, mc_samples, mc_seed)
+    if method == "monte-carlo":
+        sq_fn = (lambda x: (evaluate(f, x) - mean_f) ** 2)
         var, _ = _mc_expectation(sq_fn, d, mc_samples, mc_seed)
+    else:
+        x, w, _ = _rule(d, gh_nodes)
+        var = float(w @ (evaluate(f, x) - mean_f) ** 2)
     return math.sqrt(max(var, 0.0))
 
 
@@ -407,12 +372,9 @@ def _effective_k_max(f: NonlinearFn, k_max: int) -> int:
 
 
 def _scan_index(k_values, magnitude, tol: float) -> int | float:
-    for k in k_values:
-        value, err = magnitude(k)
-        threshold = max(tol, 5.0 * err) if err > 0.0 else tol
-        if abs(value) > threshold:
-            return k
-    return math.inf
+    """First k whose |value| exceeds max(tol, 5 * error), else inf."""
+    hits = (k for k in k_values for v, e in [magnitude(k)] if abs(v) > max(tol, 5.0 * e))
+    return next(hits, math.inf)
 
 
 def even_odd_index(
@@ -425,15 +387,16 @@ def even_odd_index(
     """(I_e, I_o): smallest even / odd k with mu_{f^(k)} != 0, else inf.
 
     The infinity verdict is exact for polynomials (k_max clamps to the
-    degree); on Monte Carlo paths the detection threshold widens to five
-    standard errors.
+    degree). A moment counts as nonzero when it exceeds both tol and five
+    times its reported error: the quadrature rounding floor, or the
+    standard error on a requested Monte Carlo path.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
     k_hi = _effective_k_max(f, k_max)
 
     def mag(k):
-        value, err, _ = _expect(derivative(f, k), d, **kwargs)
+        value, err, _ = expectation(derivative(f, k), d, **kwargs)
         return value, err
 
     i_e = _scan_index(range(0, k_hi + 1, 2), mag, tol)
@@ -463,8 +426,8 @@ def signal_constant_index(
 
     def combo(sign_exponent):
         def mag(k):
-            g, eg, _ = _expect(derivative(f, k), cd, **kwargs)
-            gb, eb, _ = _expect(derivative(f, k), cdb, **kwargs)
+            g, eg, _ = expectation(derivative(f, k), cd, **kwargs)
+            gb, eb, _ = expectation(derivative(f, k), cdb, **kwargs)
             return g + (-1.0) ** (k + sign_exponent) * gb, math.hypot(eg, eb)
 
         return mag

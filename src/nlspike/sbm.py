@@ -53,10 +53,6 @@ def overlap(labels: np.ndarray, truth: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SbmTrialResult:
-    n: int
-    beta: float
-    delta: float  # community mean separation gamma - gamma_bar
-    seed: int
     top_eigenvalues: tuple[float, float, float, float]
     overlap_top: float
     overlap_second: float
@@ -84,12 +80,4 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     _, truth = community_signal(spec.n, spec.beta)
     overlap1 = overlap(_sign_labels(pairs.vectors[:, 0]), truth)
     overlap2 = overlap(_sign_labels(pairs.vectors[:, 1]), truth) if k >= 2 else 0.0
-    return SbmTrialResult(
-        spec.n,
-        spec.beta,
-        spec.delta(),
-        seed,
-        top4,
-        overlap1,
-        overlap2,
-    )
+    return SbmTrialResult(top4, overlap1, overlap2)

@@ -34,7 +34,6 @@ from .nonlinearity import (
     gamma_moment,
     sd_f,
     sd_f_centered,
-    shared_moments,
     signal_constant_index,
     DEFAULT_INDEX_TOL,
     DEFAULT_K_MAX,
@@ -145,7 +144,6 @@ def _critical_limits(kappa: float, sigma_f: float) -> tuple[float | str, float, 
     return 2.0 * sigma_f, 0.0, False
 
 
-@shared_moments()
 def signed_recovery_prediction(
     f: NonlinearFn,
     d: Distribution,
@@ -160,7 +158,7 @@ def signed_recovery_prediction(
     The signal-carrying eigenpair is the second one when the even index
     precedes the odd one (the constant spike outgrows the signal spike),
     else the first. kappa = c^Io mu_{f^(Io)} / Io! against
-    sigma_f = SD(f(Z)). Each distinct moment is evaluated once per call.
+    sigma_f = SD(f(Z)).
     """
     i_e, i_o = even_odd_index(f, d, tol, k_max)
     sigma_f = sd_f(f, d)
@@ -192,7 +190,6 @@ def signed_recovery_prediction(
     )
 
 
-@shared_moments()
 def sbm_recovery_prediction(
     f: NonlinearFn,
     d: Distribution,
@@ -209,8 +206,6 @@ def sbm_recovery_prediction(
     for other beta use sbm_numeric_outlier on the QVE. kappa =
     c^Js (gamma_Js + (-1)^(Js+1) gammabar_Js) / (2 Js!). The alignment
     limit uses the outlier-consistent form sqrt(1 - sigma_f^2/kappa^2).
-    Each distinct moment is evaluated once per call, and equal block laws
-    share one sigma.
     """
     j_s, j_c = signal_constant_index(f, d, d_bar, tol, k_max)
     s = sd_f_centered(f, d)

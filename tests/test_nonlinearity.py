@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -170,20 +172,59 @@ def test_derivative_moment_atom_path_exact():
     )
 
 
-def test_derivative_moment_monte_carlo_fallback_and_budget():
-    d = Uniform(-1.0, 1.0)
-    value, err, method = nlfn.expectation(
-        Named("abs"), d, mc_samples=200_000, mc_seed=5
-    )
-    assert method.startswith("monte-carlo")
-    assert err > 0.0
-    assert abs(value - 0.5) <= 5.0 * err
-    with pytest.raises(CapabilityError):
-        nlfn.expectation(Named("abs"), d, mc_samples=0)
-    with pytest.raises(CapabilityError):
-        nlfn.expectation(Named("abs"), d, method="closed-form")
-    with pytest.raises(CapabilityError):
-        nlfn.expectation(Named("abs"), d, method="gauss-hermite")
+def test_derivative_moment_uniform_quadrature():
+    # Gauss-Legendre with a panel edge at 0, where abs and relu have their
+    # kink: all three values are exact, and explicit Monte Carlo agrees
+    cases = [
+        (Named("abs"), Uniform(-1.0, 1.0), 0.5),
+        (Named("relu"), Uniform(-0.5, 1.5), 0.5625),
+        (Named("relu", 1), dist.Centered(Uniform(-0.5, 1.5)), 0.5),
+    ]
+    for f, d, exact in cases:
+        value, err, method = nlfn.expectation(f, d)
+        assert method.startswith("gauss-legendre")
+        assert abs(value - exact) <= err
+        mc, se, mc_method = nlfn.expectation(
+            f, d, method="monte-carlo", mc_samples=200_000, mc_seed=5
+        )
+        assert mc_method.startswith("monte-carlo")
+        assert abs(mc - exact) <= 5.0 * se
+        with pytest.raises(CapabilityError):
+            nlfn.expectation(f, d, method="closed-form")
+        with pytest.raises(CapabilityError):
+            nlfn.expectation(f, d, method="gauss-hermite")
+
+
+def _tanh_derivative_exact(order, x):
+    """tanh^(order)(x) from its t = tanh(x) polynomial in 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        e2x = (2 * Decimal(x)).exp()
+        t = (e2x - 1) / (e2x + 1)
+        value = sum(Decimal(c) * t**j for j, c in enumerate(nlfn._tanh_deriv_tcoeffs(order)))
+        return float(value)
+
+
+@pytest.mark.parametrize(
+    "d, a, b",
+    [
+        (Uniform(-1.0, 1.0), -1.0, 1.0),
+        (Uniform(-0.5, 1.5), -0.5, 1.5),
+        (Uniform(0.2, 2.0), 0.2, 2.0),
+        (dist.Centered(Uniform(0.2, 2.0)), 0.2 - 1.1, 2.0 - 1.1),  # mean 1.1
+    ],
+    ids=["U(-1,1)", "U(-0.5,1.5)", "U(0.2,2)", "centered-U(0.2,2)"],
+)
+def test_uniform_tanh_moments_match_exact_antiderivative(d, a, b):
+    # E tanh^(k)(Z) over U(a, b) is (tanh^(k-1)(b) - tanh^(k-1)(a)) / (b - a).
+    # The returned error bounds the weighted sum's rounding only; tanh^(k)
+    # itself is a Horner sum in t with coefficients up to 3.7e14 (k = 16)
+    # and is off by about 3e-12 of the moment there, hence the 1e-11 term.
+    for k in range(1, 17):
+        exact = (_tanh_derivative_exact(k - 1, b) - _tanh_derivative_exact(k - 1, a)) / (b - a)
+        value, err, _ = nlfn.expectation(nlfn.derivative(Named("tanh"), k), d)
+        assert nlfn.derivative_moment(Named("tanh"), k, d) == value
+        assert abs(value - exact) <= err + 1e-11 * abs(exact), k
 
 
 def test_closed_form_agrees_with_monte_carlo_within_five_se():
@@ -271,24 +312,18 @@ def test_stein_identity(coeffs):
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_shared_moments_evaluates_each_key_once(monkeypatch):
-    calls = []
-    inner = nlfn._mc_expectation
-    monkeypatch.setattr(nlfn, "_mc_expectation", lambda *a: calls.append(a[1]) or inner(*a))
+def test_moments_are_deterministic_and_spellings_agree():
     tanh, law = Named("tanh"), Uniform(-1.0, 1.0)
-    fresh = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)
-    with nlfn.shared_moments():
-        # positional and keyword spellings of one argument tuple share an entry
-        a = nlfn.derivative_moment(tanh, 1, law, "auto", nlfn.DEFAULT_GH_NODES, 1000, 0)
-        b = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)
-        c = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000, mc_seed=1)
-        s1 = nlfn.sd_f(tanh, law, mc_samples=1000)
-        s2 = nlfn.sd_f(tanh, law, "auto", mc_samples=1000)
-    assert a == b == fresh and c != a and s1 == s2
-    # fresh, then a/b once, c, and sd_f's mean plus its variance once
-    assert len(calls) == 5
-    nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)  # nothing outlives the block
-    assert len(calls) == 6
+    fresh = nlfn.derivative_moment(tanh, 1, law)
+    # positional and keyword spellings agree, and off the Monte Carlo path
+    # the mc_* arguments change nothing
+    a = nlfn.derivative_moment(tanh, 1, law, "auto", nlfn.DEFAULT_GH_NODES, 1000, 0)
+    b = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000)
+    c = nlfn.derivative_moment(tanh, 1, law, mc_samples=1000, mc_seed=1)
+    s1 = nlfn.sd_f(tanh, law, mc_samples=1000)
+    s2 = nlfn.sd_f(tanh, law, "auto")
+    assert a == b == c == fresh and s1 == s2
+    assert nlfn.derivative_moment(tanh, 1, law) == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +335,16 @@ def test_even_odd_index_examples():
     assert nlfn.even_odd_index(F_CUBIC, STD_NORMAL) == (2, 3)
     assert nlfn.even_odd_index(Polynomial([0.0, 1.0]), STD_NORMAL) == (math.inf, 1)
     assert nlfn.even_odd_index(Polynomial([0.0, 0.0, 1.0]), STD_NORMAL) == (0, math.inf)
+
+
+def test_odd_tanh_has_no_even_index():
+    # every even-order moment of odd tanh over a symmetric law is 0; the
+    # quadrature rounding residue must not read as a nonzero moment
+    tanh = Named("tanh")
+    for d in (STD_NORMAL, Uniform(-1.0, 1.0), Uniform(-2.0, 2.0)):
+        assert nlfn.even_odd_index(tanh, d) == (math.inf, 1), d
+    u11 = Uniform(-1.0, 1.0)
+    assert nlfn.signal_constant_index(tanh, u11, u11) == (1, math.inf)
 
 
 def test_signal_constant_index_examples():

@@ -68,7 +68,7 @@ def test_trial_zero_noise_exact_recovery():
     spec = SbmSpec(8, 0.5, Gaussian(0.5, 0.0), Gaussian(-0.5, 0.0))
     result = sbm.run_sbm_trial(spec, IDENTITY, seed=1)
     assert result.overlap_top == pytest.approx(1.0)
-    assert result.delta == pytest.approx(1.0)
+    assert spec.delta() == pytest.approx(1.0)
 
 
 def test_trial_no_signal_has_low_overlap():

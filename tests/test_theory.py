@@ -17,7 +17,7 @@ F_SBM = hermite_fn({2: 2.25, 3: 1.0, 4: 1.0})
 STD_NORMAL = Gaussian(0.0, 1.0)
 SQRT8 = math.sqrt(8.0)
 TANH = Named("tanh")
-U11 = Uniform(-1.0, 1.0)  # tanh over Uniform laws has only the Monte Carlo path
+U11 = Uniform(-1.0, 1.0)  # tanh over Uniform laws takes Gauss-Legendre quadrature
 
 
 @pytest.fixture
@@ -322,45 +322,43 @@ def test_prediction_json():
 
 
 # ---------------------------------------------------------------------------
-# one evaluation per distinct moment within a prediction
+# predictions compose the public moment functions
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "d_bar, shared",
-    [(U11, 18), (Uniform(-0.5, 1.5), 36)],
-    ids=["equal-laws", "shifted-law"],
-)
-def test_sbm_prediction_evaluates_each_moment_once(mc_calls, d_bar, shared):
-    # composed from the public functions, each of which evaluates afresh
+@pytest.mark.parametrize("d_bar", [U11, Uniform(-0.5, 1.5)], ids=["equal-laws", "shifted-law"])
+def test_sbm_prediction_composes_public_moments(mc_calls, d_bar):
     j_s, j_c = nlfn.signal_constant_index(TANH, U11, d_bar)
     s = nlfn.sd_f_centered(TANH, U11)
     sb = nlfn.sd_f_centered(TANH, d_bar)
     g = nlfn.gamma_moment(TANH, j_s, U11)
     gb = nlfn.gamma_moment(TANH, j_s, d_bar)
-    assert len(mc_calls) == 44
-    del mc_calls[:]
 
     pred = theory.sbm_recovery_prediction(TANH, U11, d_bar, 2.0, "1/3")
-    assert len(mc_calls) == shared
     assert pred.indices == {"J_s": float(j_s), "J_c": float(j_c)}
     assert pred.sigma_f == math.sqrt(0.5 * (s**2 + sb**2))
     sign = (-1.0) ** (j_s + 1)
     assert pred.kappa == 2.0**j_s * (g + sign * gb) / (2.0 * math.factorial(j_s))
+    assert theory.sbm_recovery_prediction(TANH, U11, d_bar, 2.0, "1/3") == pred
+    assert mc_calls == []  # Monte Carlo runs only when requested
 
 
-def test_signed_prediction_evaluates_each_moment_once_per_call(mc_calls):
+def test_signed_prediction_composes_public_moments(mc_calls):
     i_e, i_o = nlfn.even_odd_index(TANH, U11)
     sigma_f = nlfn.sd_f(TANH, U11)
     mu = nlfn.derivative_moment(TANH, i_o, U11)
-    assert len(mc_calls) == 13
-    del mc_calls[:]
 
     pred = theory.signed_recovery_prediction(TANH, U11, 2.0, "1/4")
-    assert len(mc_calls) == 11
     assert pred.indices == {"I_e": float(i_e), "I_o": float(i_o)}
     assert pred.sigma_f == sigma_f
     assert pred.kappa == 2.0**i_o / math.factorial(i_o) * mu
-    # the memo lives for one call: a repeat pays again and agrees bit for bit
     assert theory.signed_recovery_prediction(TANH, U11, 2.0, "1/4") == pred
-    assert len(mc_calls) == 22
+    assert mc_calls == []
+
+
+def test_signed_prediction_odd_tanh_has_no_even_index():
+    # odd tanh: every even-order moment is 0, so I_e is inf under both laws
+    for d in (STD_NORMAL, U11):
+        blob = theory.signed_recovery_prediction(TANH, d, 2.0, "1/4").to_json()
+        assert blob["indices"] == {"I_e": None, "I_o": 1}
+        assert blob["which_eigenpair"] == 1
