@@ -24,7 +24,14 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
-from .matrixgen import SbmSpec, SignalVector, SpikeParams, assemble_observation, community_signal
+from .matrixgen import (
+    SbmSpec,
+    SignalVector,
+    SpikeParams,
+    assemble_observation,
+    community_signal,
+    row_blocks,
+)
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
 
@@ -148,10 +155,14 @@ class DecompositionReport:
         }
 
 
-def _dense_sum(noise_part: np.ndarray, spikes: tuple[SpikeTerm, ...]) -> np.ndarray:
-    out = noise_part.copy()
+def _dense_sum(
+    noise_part: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Rows lo:hi of noise + sum of the spikes, added in spike order."""
+    out = noise_part[lo:hi].copy()
     for term in spikes:
-        out += term.materialize()
+        d = term.direction
+        out += term.coefficient * np.outer(d[lo:hi], d)
     return out
 
 
@@ -180,7 +191,8 @@ def signal_plus_noise(
         raise ParameterError(f"dimension mismatch: W {W.shape}, x {x.n}, params n={n}")
     ell = ell_of_alpha(sp.alpha)
     lam = sp.signal_strength
-    noise_part = apply_elementwise(f, W) / np.sqrt(n)
+    noise_part = apply_elementwise(f, W)
+    noise_part /= np.sqrt(n)
 
     labels = None
     if isinstance(ensemble, SbmEnsemble):
@@ -216,7 +228,8 @@ def signal_plus_noise(
 
     report_spikes = tuple(spikes)
     Y = assemble_observation(W, f, sp, x)
-    Y -= _dense_sum(noise_part, report_spikes)
+    for lo, hi in row_blocks(n):
+        Y[lo:hi] -= _dense_sum(noise_part, report_spikes, lo, hi)
     remainder = operator_norm(Y)
     return DecompositionReport(
         ell, noise_part, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +64,13 @@ def _write_json(path: Path, entries: list[dict]) -> Path:
 
 
 def _run_tuples(worker, tuples, threads: int | None):
-    """Map worker over tuples, preserving tuple order in the output."""
-    if threads is not None and threads < 1:
+    """Map worker over tuples, preserving tuple order in the output.
+
+    threads=None runs one sweep thread per usable core."""
+    if threads is None:
+        usable = getattr(os, "sched_getaffinity", None)
+        threads = len(usable(0)) if usable else os.cpu_count() or 1
+    if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if threads == 1:
         return [worker(i, t) for i, t in enumerate(tuples)]
@@ -94,6 +100,7 @@ def _signed_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int
     W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
     Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
+    del W  # one n x n buffer fewer under the eigensolver
     pairs = sym_eig_top(Y, 2)
     ones = np.full(n, 1.0 / math.sqrt(n))
     corr1 = alignment(pairs.vectors[:, 0], ones)
@@ -233,11 +240,11 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
         W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
         x = rademacher_signal(n, derive_seed(seed, 1))
         Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
+        del W
         sigma = sigma_bar = sd_f(cfg.f, cfg.noise)
         beta = 0.5
     else:
-        A = sample_sbm_adjacency(_shifted_spec(cfg, n, c), seed)
-        Y = transform_and_embed(A, cfg.f)
+        Y = transform_and_embed(sample_sbm_adjacency(_shifted_spec(cfg, n, c), seed), cfg.f)
         sigma = sd_f_centered(cfg.f, cfg.within)
         sigma_bar = sd_f_centered(cfg.f, cfg.across)
         beta = cfg.beta

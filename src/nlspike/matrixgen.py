@@ -3,7 +3,15 @@
 Matrices are dense, row-major float64 and exactly symmetric: the upper
 triangle (diagonal included) is sampled and mirrored, so M[i, j] and
 M[j, i] are the same bits. Desk scale tops out around n = 4000, where a
-full matrix is 128 MB.
+full matrix is 128 MB and one signed trial peaks at about 2.25 such
+buffers by tracemalloc: two matrices at a time (W and Y, then Y and the
+eigensolver's copy of it) plus row blocks and workspace.
+
+Each sample is built in one n x n buffer. Its upper triangle is filled row
+by row from the value vector, and everything that touches the whole
+matrix after that (mirroring, f) runs in row blocks of BLOCK_ROWS rows, so
+no n^2-sized index array or temporary is made. Blocking changes no
+element's IEEE operation, so the bits equal those of the whole-matrix form.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from .distributions import Distribution
 from .errors import ParameterError
 from .nonlinearity import NonlinearFn, apply_elementwise
 from .rng import derive_seed
+
+BLOCK_ROWS = 64  # 1 MB per block at n = 2000, so a block stays in L2 cache; 256 ran slower
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,29 @@ def community_signal(n: int, beta: float) -> tuple[SignalVector, np.ndarray]:
     return SignalVector(labels / np.sqrt(n), "community"), labels
 
 
-def _mirror_upper(n: int, upper_values: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[np.triu_indices(n)] = upper_values
-    il = np.tril_indices(n, -1)
-    out[il] = out.T[il]
+def row_blocks(n: int):
+    """(lo, hi) bounds of consecutive BLOCK_ROWS-row blocks covering n rows."""
+    return ((lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
+
+
+def _mirror_lower(out: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of `out` onto its lower triangle in place."""
+    for lo, hi in row_blocks(out.shape[0]):
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+        diag = out[lo:hi, lo:hi]
+        il = np.tril_indices(hi - lo, -1)
+        diag[il] = diag.T[il]
     return out
+
+
+def _mirror_upper(n: int, upper_values: np.ndarray) -> np.ndarray:
+    """Symmetric matrix whose upper triangle, read row by row, is upper_values."""
+    out = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        out[i, i:] = upper_values[start : start + n - i]
+        start += n - i
+    return _mirror_lower(out)
 
 
 def sample_wigner(n: int, d: Distribution, seed: int) -> np.ndarray:
@@ -133,17 +160,25 @@ def sample_wigner(n: int, d: Distribution, seed: int) -> np.ndarray:
 
 def sample_sbm_adjacency(spec: SbmSpec, seed: int) -> np.ndarray:
     """Weighted adjacency: within-block entries (diagonal included) from
-    `within`, cross-block from `across`; symmetric by mirroring."""
+    `within`, cross-block from `across`; symmetric by mirroring.
+
+    Each law's stream fills its upper-triangle entries in row-major order."""
     n, n_plus = spec.n, spec.n_plus
-    iu, ju = np.triu_indices(n)
-    is_within = (iu < n_plus) == (ju < n_plus)
-    values = np.empty(len(iu))
-    n_within = int(np.sum(is_within))
-    if n_within:
-        values[is_within] = dist.sample(spec.within, n_within, derive_seed(seed, 0))
-    if n_within < len(iu):
-        values[~is_within] = dist.sample(spec.across, len(iu) - n_within, derive_seed(seed, 1))
-    return _mirror_upper(n, values)
+    n_minus = n - n_plus
+    n_across = n_plus * n_minus
+    n_within = n * (n + 1) // 2 - n_across
+    within = dist.sample(spec.within, n_within, derive_seed(seed, 0))  # n_within >= n
+    across = dist.sample(spec.across, n_across, derive_seed(seed, 1)) if n_across else None
+    out = np.empty((n, n))
+    w = a = 0  # cursors into the two streams
+    for i in range(n):
+        stop = n_plus if i < n_plus else n
+        out[i, i:stop] = within[w : w + stop - i]
+        w += stop - i
+        if stop < n:
+            out[i, stop:] = across[a : a + n_minus]
+            a += n_minus
+    return _mirror_lower(out)
 
 
 def assemble_observation(
@@ -157,5 +192,11 @@ def assemble_observation(
             f"dimension mismatch: W {W.shape}, x {len(xv)}, params n={n}"
         )
     lam = sp.signal_strength
-    perturbed = W + (lam * np.sqrt(n)) * np.outer(xv, xv)
-    return apply_elementwise(f, perturbed) / np.sqrt(n)
+    # the spike, the sum, f and the scaling all happen in Y; W is untouched
+    Y = np.outer(xv, xv)
+    Y *= lam * np.sqrt(n)
+    Y += W
+    for lo, hi in row_blocks(n):
+        Y[lo:hi] = apply_elementwise(f, Y[lo:hi])
+    Y /= np.sqrt(n)
+    return Y

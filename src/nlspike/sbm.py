@@ -19,8 +19,9 @@ from .spectral import sym_eig_top
 
 def transform_and_embed(A: np.ndarray, f: NonlinearFn) -> np.ndarray:
     """f(A) / sqrt(n), element-wise; symmetry is preserved exactly."""
-    A = np.asarray(A, dtype=float)
-    return apply_elementwise(f, A) / np.sqrt(A.shape[0])
+    Y = apply_elementwise(f, A)
+    Y /= np.sqrt(Y.shape[0])
+    return Y
 
 
 def _sign_labels(v: np.ndarray) -> np.ndarray:
@@ -71,8 +72,7 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     f and the block laws, not of the trial: it is
     RegimePrediction.which_eigenpair of `sbm_recovery_prediction`.
     """
-    A = sample_sbm_adjacency(spec, seed)
-    Y = transform_and_embed(A, f)
+    Y = transform_and_embed(sample_sbm_adjacency(spec, seed), f)
     k = min(4, spec.n)
     pairs = sym_eig_top(Y, k)
     top4 = tuple(float(v) for v in pairs.values) + (float("nan"),) * (4 - k)

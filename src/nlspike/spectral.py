@@ -16,6 +16,7 @@ from scipy.linalg import eigh, eigvalsh
 from .errors import ParameterError, ContractError
 
 SYMMETRY_RTOL = 1e-9
+_STRIP_ROWS = 64  # rows per strip of the symmetry check, as matrixgen.BLOCK_ROWS
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,11 +32,18 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.max(np.abs(M)) if M.size else 0.0
+    # max |M| without an |M| temporary; NaN and +-inf propagate into it
+    scale = max(M.max(), -M.min()) if M.size else 0.0
     if not np.isfinite(scale):
         raise ContractError("matrix has non-finite entries")
     if scale > 0.0:
-        asym = np.max(np.abs(M - M.T))
+        # max |M - M^T| by row strips: rows [lo, hi) against columns lo..
+        # reach every pair (i, j) with i <= j, with strip-sized temporaries
+        n = M.shape[0]
+        asym = 0.0
+        for lo in range(0, n, _STRIP_ROWS):
+            hi = min(lo + _STRIP_ROWS, n)
+            asym = max(asym, np.max(np.abs(M[lo:hi, lo:] - M[lo:, lo:hi].T)))
         if asym > SYMMETRY_RTOL * scale:
             raise ContractError(
                 f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
@@ -59,9 +67,9 @@ def sym_eig_top(M: np.ndarray, k: int) -> EigenPairs:
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     if k == n:
-        w, v = eigh(M)
+        w, v = eigh(M, check_finite=False)
     else:
-        w, v = eigh(M, subset_by_index=[n - k, n - 1])
+        w, v = eigh(M, subset_by_index=[n - k, n - 1], check_finite=False)
     w = w[::-1].copy()
     v = _fix_signs(v[:, ::-1])
     residuals = np.linalg.norm(M @ v - v * w, axis=0)
@@ -73,7 +81,7 @@ def operator_norm(M: np.ndarray) -> float:
     M = _check_symmetric(M)
     if M.shape[0] == 0:
         return 0.0
-    w = eigvalsh(M)
+    w = eigvalsh(M, check_finite=False)
     return float(max(abs(w[0]), abs(w[-1])))
 
 
@@ -104,7 +112,7 @@ def esd_histogram(
     if not (lo < hi):
         raise ParameterError(f"need lo < hi, got ({lo}, {hi})")
     M = _check_symmetric(M)
-    w = eigvalsh(M)
+    w = eigvalsh(M, check_finite=False)
     counts, edges = np.histogram(w, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)

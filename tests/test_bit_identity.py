@@ -1,0 +1,164 @@
+"""The one-buffer builders against the whole-matrix formulas they replace.
+
+The reference functions below are the earlier implementations, kept
+verbatim: fancy-index mirroring through triu/tril index arrays, the
+`is_within` mask for the block model, `W + s xx^T -> f -> / sqrt(n)` on
+whole matrices, and the remainder against a dense `noise + sum of spikes`.
+Every comparison is bit for bit (`np.array_equal` or `==`), not approximate.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nlspike import distributions as dist
+from nlspike.decomposition import WignerEnsemble, signal_plus_noise
+from nlspike.matrixgen import (
+    SbmSpec,
+    SpikeParams,
+    assemble_observation,
+    rademacher_signal,
+    sample_sbm_adjacency,
+    sample_wigner,
+)
+from nlspike.nonlinearity import apply_elementwise, hermite_fn, named
+from nlspike.rng import derive_seed
+from nlspike.spectral import operator_norm
+
+LAWS = [
+    dist.Gaussian(0.0, 1.0),
+    dist.Uniform(-1.0, 2.0),
+    dist.Rademacher(0.3),
+    dist.Centered(dist.Uniform(0.2, 2.0)),
+]
+HE2_HE3 = hermite_fn({2: 1.0, 3: 1.0})
+TANH = named("tanh")
+ABS = named("abs")
+SEEDS = st.integers(0, 2**64 - 1)
+SIZES = st.integers(1, 600)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas
+# ---------------------------------------------------------------------------
+
+
+def _old_mirror_upper(n, upper_values):
+    out = np.zeros((n, n))
+    out[np.triu_indices(n)] = upper_values
+    il = np.tril_indices(n, -1)
+    out[il] = out.T[il]
+    return out
+
+
+def _old_sample_wigner(n, d, seed):
+    return _old_mirror_upper(n, dist.sample(d, n * (n + 1) // 2, seed))
+
+
+def _old_sample_sbm_adjacency(spec, seed):
+    n, n_plus = spec.n, spec.n_plus
+    iu, ju = np.triu_indices(n)
+    is_within = (iu < n_plus) == (ju < n_plus)
+    values = np.empty(len(iu))
+    n_within = int(np.sum(is_within))
+    if n_within:
+        values[is_within] = dist.sample(spec.within, n_within, derive_seed(seed, 0))
+    if n_within < len(iu):
+        values[~is_within] = dist.sample(spec.across, len(iu) - n_within, derive_seed(seed, 1))
+    return _old_mirror_upper(n, values)
+
+
+def _old_assemble_observation(W, f, sp, x):
+    n = sp.n
+    perturbed = W + (sp.signal_strength * np.sqrt(n)) * np.outer(x.entries, x.entries)
+    return apply_elementwise(f, perturbed) / np.sqrt(n)
+
+
+def _old_dense_sum(noise_part, spikes):
+    out = noise_part.copy()
+    for term in spikes:
+        out += term.materialize()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sampling
+# ---------------------------------------------------------------------------
+
+
+@given(SIZES, st.sampled_from(LAWS), SEEDS)
+@example(255, LAWS[0], 1)
+@example(256, LAWS[1], 2)
+@example(257, LAWS[2], 3)
+@example(512, LAWS[3], 4)
+@example(513, LAWS[0], 5)
+@settings(max_examples=30, deadline=None)
+def test_sample_wigner_matches_fancy_index_mirror(n, d, seed):
+    assert np.array_equal(sample_wigner(n, d, seed), _old_sample_wigner(n, d, seed))
+
+
+@given(st.integers(2, 600), st.integers(0, 10**6), SEEDS)
+@example(255, 0, 1)
+@example(256, 63, 2)
+@example(257, 127, 3)
+@example(512, 200, 4)
+@example(513, 255, 5)
+@settings(max_examples=30, deadline=None)
+def test_sample_sbm_adjacency_matches_masked_fill(n, k, seed):
+    n_plus = 1 + 2 * (k % (n // 2))  # odd, in [1, n - 1]
+    spec = SbmSpec(n, n_plus / n, dist.Gaussian(0.3, 1.0), dist.Uniform(-1.0, 0.4))
+    assert spec.n_plus == n_plus
+    assert np.array_equal(sample_sbm_adjacency(spec, seed), _old_sample_sbm_adjacency(spec, seed))
+
+
+# ---------------------------------------------------------------------------
+# assembly and the decomposition remainder
+# ---------------------------------------------------------------------------
+
+
+@given(
+    SIZES,
+    st.sampled_from([HE2_HE3, TANH, ABS]),
+    st.floats(0.0, 6.0),
+    st.sampled_from([0.0, 0.25, 1 / 3, 0.4]),
+    SEEDS,
+)
+@example(255, HE2_HE3, 2.6, 0.25, 1)
+@example(256, TANH, 1.4, 1 / 3, 2)
+@example(257, ABS, 5.0, 0.4, 3)
+@example(512, HE2_HE3, 0.8, 0.25, 4)
+@example(513, TANH, 2.0, 0.0, 5)
+@settings(max_examples=30, deadline=None)
+def test_assemble_observation_matches_whole_matrix_form(n, f, c, alpha, seed):
+    W = sample_wigner(n, dist.Gaussian(0.0, 1.0), derive_seed(seed, 0))
+    W_before = W.copy()
+    x = rademacher_signal(n, derive_seed(seed, 1))
+    sp = SpikeParams(c, alpha, n)
+    Y = assemble_observation(W, f, sp, x)
+    assert np.array_equal(W, W_before)
+    assert np.array_equal(Y, _old_assemble_observation(W, f, sp, x))
+
+
+@given(
+    st.integers(1, 300),
+    st.sampled_from([HE2_HE3, TANH]),
+    st.floats(0.0, 4.0),
+    st.sampled_from([0.25, 1 / 3]),
+    SEEDS,
+)
+@example(255, HE2_HE3, 1.0, 0.25, 1)
+@example(256, TANH, 2.0, 1 / 3, 2)
+@example(257, HE2_HE3, 3.0, 1 / 3, 3)
+@settings(max_examples=15, deadline=None)
+def test_remainder_norm_matches_dense_sum(n, f, c, alpha, seed):
+    law = dist.Gaussian(0.0, 1.0)
+    W = sample_wigner(n, law, derive_seed(seed, 0))
+    x = rademacher_signal(n, derive_seed(seed, 1))
+    sp = SpikeParams(c, alpha, n)
+    report = signal_plus_noise(W, f, sp, x, WignerEnsemble(law))
+    old_noise = apply_elementwise(f, W) / np.sqrt(n)
+    assert np.array_equal(report.noise_part, old_noise)
+    Y = _old_assemble_observation(W, f, sp, x)
+    Y -= _old_dense_sum(old_noise, report.spikes)
+    assert report.remainder_norm == operator_norm(Y)
+    assert np.array_equal(report.approximation(), _old_dense_sum(old_noise, report.spikes))

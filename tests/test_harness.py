@@ -1,4 +1,7 @@
 import json
+import threading
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from nlspike.harness import (
     parse_config,
     run_experiment,
 )
+from nlspike.harness import sweeps
 from nlspike.harness.cli import main as cli_main
 
 F_JSON = {"kind": "polynomial", "coeffs": [-1.0, -3.0, 1.0, 1.0]}
@@ -263,6 +267,55 @@ def test_predict_artifact(tmp_path):
     blob = json.loads(Path(arts["json"]).read_text())
     assert blob[1]["kappa"] == pytest.approx(8.0)
     assert blob[1]["regime"] == "critical"
+
+
+# ---------------------------------------------------------------------------
+# trial footprint and worker count
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "experiment,trial,budget",
+    [
+        ("signed-sweep", sweeps._signed_trial, 2.5),
+        ("decompose-check", sweeps._decompose_trial, 4.5),
+    ],
+)
+def test_trial_memory_budget(experiment, trial, budget):
+    """Peak traced allocation of one n = 1024 trial, in n x n float64
+    buffers (numpy reports its allocations to tracemalloc). The whole-matrix
+    builders read 4.0 (signed) and 6.0 (decompose)."""
+    n = 1024
+    cfg = parse_config(signed_cfg(experiment=experiment, n_list=[n], c_grid=[2.6]))
+    trial(cfg, n, 2.6, 0, 123)  # warm-up: caches and lazy imports
+    tracemalloc.start()
+    try:
+        trial(cfg, n, 2.6, 0, 123)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= budget
+
+
+def test_default_threads_follow_usable_cores(monkeypatch):
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1})
+    lock = threading.Lock()
+    running, peak, names = 0, 0, set()
+
+    def worker(index, tup):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            names.add(threading.current_thread().name)
+        time.sleep(0.01)
+        with lock:
+            running -= 1
+        return index
+
+    assert sweeps._run_tuples(worker, list(range(24)), None) == list(range(24))
+    assert peak <= 2
+    assert len(names) <= 2
 
 
 # ---------------------------------------------------------------------------

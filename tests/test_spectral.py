@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,11 +65,65 @@ def test_sym_eig_rejects_asymmetric():
 
 
 def test_sym_eig_rejects_non_finite():
-    for bad in (np.nan, np.inf):
-        M = np.eye(3)
-        M[1, 1] = bad
-        with pytest.raises(ContractError):
-            sp.sym_eig_top(M, 1)
+    # the symmetry check is the one finiteness gate; scipy's is switched off
+    solvers = (
+        lambda M: sp.sym_eig_top(M, 1),
+        sp.operator_norm,
+        lambda M: sp.esd_histogram(M, 4, (-2.0, 2.0)),
+    )
+    for solve in solvers:
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in ((1, 1), (0, 2)):
+                M = np.eye(3)
+                M[i, j] = M[j, i] = bad
+                with pytest.raises(ContractError, match="^matrix has non-finite entries$"):
+                    solve(M)
+
+
+def _whole_matrix_asymmetry_figure(M):
+    """The relative asymmetry computed on whole matrices, the reference for the strips."""
+    return f"{np.max(np.abs(M - M.T)) / np.max(np.abs(M)):.3e}"
+
+
+@pytest.mark.parametrize("n", [257, 600])
+@pytest.mark.parametrize(
+    "place",
+    ["last-block-row", "last-block-col", "boundary-row", "boundary-col", "last-diag-block"],
+)
+def test_symmetry_check_finds_one_asymmetric_pair(n, place):
+    i, j = {
+        "last-block-row": (n - 1, 3),
+        "last-block-col": (3, n - 1),
+        "boundary-row": (256, 255),
+        "boundary-col": (255, 256),
+        "last-diag-block": (n - 1, n - 2),
+    }[place]
+    M = sample_wigner(n, Gaussian(0, 1), seed=n)
+    M[i, j] += 1e-3
+    figure = _whole_matrix_asymmetry_figure(M)
+    with pytest.raises(ContractError, match=f"relative asymmetry {re.escape(figure)}$"):
+        sp.sym_eig_top(M, 1)
+
+
+@pytest.mark.parametrize("n", [257, 600])
+def test_symmetry_check_tolerance_edge(n):
+    M = sample_wigner(n, Gaussian(0, 1), seed=n + 1)
+    scale = np.max(np.abs(M))
+    base = M[n - 1, 255]
+    M[n - 1, 255] = base + 0.5 * sp.SYMMETRY_RTOL * scale
+    sp._check_symmetric(M)  # below the tolerance: passes
+    M[n - 1, 255] = base + 1.5 * sp.SYMMETRY_RTOL * scale
+    with pytest.raises(ContractError):
+        sp._check_symmetric(M)
+
+
+def test_symmetry_check_scale_of_negative_extreme():
+    # the largest magnitude is -10, above the largest value 3
+    M = np.array([[3.0, 1.0, 0.0], [1.0, -10.0, 2.0], [0.0, 2.0, 1.0]])
+    M[0, 2] = 0.25
+    assert _whole_matrix_asymmetry_figure(M) == "2.500e-02"
+    with pytest.raises(ContractError, match="relative asymmetry 2.500e-02$"):
+        sp.sym_eig_top(M, 1)
 
 
 def test_full_reconstruction_small():
