@@ -130,16 +130,11 @@ class SpikeTerm:
 @dataclass(frozen=True, eq=False)
 class DecompositionReport:
     ell: int
-    noise_part: np.ndarray
     spikes: tuple[SpikeTerm, ...]
     remainder_norm: float
     n: int
     alpha: float
     c_lambda: float
-
-    def approximation(self) -> np.ndarray:
-        """Dense noise + spikes."""
-        return _dense_sum(self.noise_part, self.spikes)
 
     def to_json(self) -> dict:
         return {
@@ -155,11 +150,11 @@ class DecompositionReport:
         }
 
 
-def _dense_sum(
-    noise_part: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0, hi: int | None = None
-) -> np.ndarray:
-    """Rows lo:hi of noise + sum of the spikes, added in spike order."""
-    out = noise_part[lo:hi].copy()
+def _dense_sum(noise_rows: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) -> np.ndarray:
+    """noise_rows, which are rows lo: of the noise image, plus the same rows
+    of the spikes, added in spike order into a copy."""
+    out = noise_rows.copy()
+    hi = lo + len(out)
     for term in spikes:
         d = term.direction
         out += term.coefficient * np.outer(d[lo:hi], d)
@@ -180,8 +175,10 @@ def signal_plus_noise(
     x: SignalVector,
     ensemble: Ensemble,
 ) -> DecompositionReport:
-    """Build the spike terms, materialize the approximation, and measure
-    the operator-norm remainder against the exact observation.
+    """Build the spike terms and measure the operator-norm remainder
+    f(W + spike)/sqrt(n) - (f(W)/sqrt(n) + spikes), built in one n x n
+    buffer: the noise image and the spikes are formed one row block at a
+    time and subtracted from the observation.
 
     The ensemble must describe how W was sampled; that consistency is the
     caller's responsibility.
@@ -191,8 +188,6 @@ def signal_plus_noise(
         raise ParameterError(f"dimension mismatch: W {W.shape}, x {x.n}, params n={n}")
     ell = ell_of_alpha(sp.alpha)
     lam = sp.signal_strength
-    noise_part = apply_elementwise(f, W)
-    noise_part /= np.sqrt(n)
 
     labels = None
     if isinstance(ensemble, SbmEnsemble):
@@ -227,13 +222,14 @@ def signal_plus_noise(
                 )
 
     report_spikes = tuple(spikes)
-    Y = assemble_observation(W, f, sp, x)
+    R = assemble_observation(W, f, sp, x)
+    root_n = np.sqrt(n)
     for lo, hi in row_blocks(n):
-        Y[lo:hi] -= _dense_sum(noise_part, report_spikes, lo, hi)
-    remainder = operator_norm(Y)
-    return DecompositionReport(
-        ell, noise_part, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda
-    )
+        noise_rows = apply_elementwise(f, W[lo:hi])
+        noise_rows /= root_n
+        R[lo:hi] -= _dense_sum(noise_rows, report_spikes, lo)
+    remainder = operator_norm(R)
+    return DecompositionReport(ell, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,21 @@
 """Symmetric eigendecomposition, operator norms, alignments, and ESDs.
 
-Dense LAPACK solvers (tridiagonalization-based) back every operation; at
-desk scale (n <= 4000) a full solve is cheap and has no convergence
-ambiguity. Eigenvector signs are fixed deterministically: the entry of
-largest magnitude (lowest index on ties) is made positive.
+The extremal eigenpairs behind `sym_eig_top` and `operator_norm` come
+from one Lanczos solver once n >= _LANCZOS_MIN_N: ARPACK's implicitly
+restarted Lanczos (Lehoucq-Sorensen-Yang 1998) from a fixed start vector,
+so results are deterministic, on a matvec that reads M's lower triangle
+(BLAS dsymv, no copy), the triangle LAPACK reads too. Every Lanczos pair
+must pass the residual gate ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F
+(the Frobenius norm bounds the spectral norm from above). When ARPACK
+fails, a pair misses the gate, or n is below the crossover, the dense
+LAPACK solver runs instead, and a dense top-k pair that misses the gate
+raises ConvergenceError. The gate certifies eigenpairs, not that they are
+the extremal ones: that rests on Lanczos converging to the ends of the
+spectrum from a start vector with a component along them.
+`esd_histogram` needs the full spectrum and always runs dense.
+
+Eigenvector signs are fixed deterministically: the entry of largest
+magnitude (lowest index on ties) is made positive.
 """
 
 from __future__ import annotations
@@ -12,11 +24,28 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
+from scipy.linalg.blas import dsymv
 
-from .errors import ParameterError, ContractError
+from .errors import ContractError, ConvergenceError, ParameterError
+from .rng import generator
 
 SYMMETRY_RTOL = 1e-9
+# Residual gate relative to ||M||_F. On the trials' matrices (n 500-2000)
+# dense pairs measured below 1e-16 of it and Lanczos pairs below 5e-14;
+# a vector that is no eigenvector leaves about ||M||_2 >= ||M||_F / sqrt(n).
+RESIDUAL_RTOL = 1e-10
 _STRIP_ROWS = 64  # rows per strip of the symmetry check, as matrixgen.BLOCK_ROWS
+# Smallest n solved by Lanczos: below it dense LAPACK is as fast (measured
+# on signed, decompose-remainder and SBM matrices at BLAS 1 and 2, n 300-800).
+_LANCZOS_MIN_N = 500
+_LANCZOS_NCV = 40  # Lanczos basis size; fewest matvecs of 20/30/40/60 on those matrices
+_LANCZOS_RESTARTS = 100  # about 9x the restarts those matrices need at n = 2000
+_LANCZOS_SEED = 0x5EED  # seeds the start vector and ARPACK's restart vectors
+# ARPACK tolerance of the norm, relative to each Ritz value. A Ritz value
+# with residual r lies within r (r^2 / gap when isolated) of an eigenvalue,
+# so the norm keeps 1e-12 relative accuracy with a quarter fewer matvecs
+# than tol = 0, which the top-k pairs keep because callers use the vectors.
+_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +54,7 @@ class EigenPairs:
 
     values: np.ndarray  # (k,), descending
     vectors: np.ndarray  # (n, k), orthonormal columns
-    residuals: np.ndarray  # (k,), ||M v - value v||_2
+    residuals: np.ndarray  # (k,), ||M v - value v||_2 over M's lower triangle
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
@@ -60,28 +89,85 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matvec(M: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """S u for S, the symmetric matrix of M's lower triangle: the triangle
+    LAPACK's eigh and eigvalsh read. M.T is a Fortran-ordered view, so
+    dsymv reads it with no copy."""
+    return dsymv(1.0, M.T, u)
+
+
+def _residuals(M: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.norm(_matvec(M, v[:, j]) - w[j] * v[:, j]) for j in range(len(w))])
+
+
+def _residual_bound(M: np.ndarray) -> float:
+    return RESIDUAL_RTOL * float(np.linalg.norm(M))
+
+
+def _lanczos(M: np.ndarray, k: int, which: str, tol: float = 0.0):
+    """k extremal pairs of M by ARPACK (`which` and `tol` as in eigsh), as
+    (values ascending, vectors, residuals), or None if ARPACK fails or any
+    pair misses the residual gate."""
+    # imported here: scipy.sparse costs every `import nlspike` ~34 ms
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = M.shape[0]
+    op = LinearOperator((n, n), matvec=lambda u: _matvec(M, u), dtype=float)
+    rng = generator(_LANCZOS_SEED)
+    v0 = rng.standard_normal(n)
+    try:
+        w, v = eigsh(
+            op, k, which=which, v0=v0, ncv=_LANCZOS_NCV, maxiter=_LANCZOS_RESTARTS, tol=tol, rng=rng
+        )
+    except ArpackError:  # ArpackNoConvergence included
+        return None
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    residuals = _residuals(M, w, v)
+    if not np.all(residuals <= _residual_bound(M)):
+        return None
+    return w, v, residuals
+
+
 def sym_eig_top(M: np.ndarray, k: int) -> EigenPairs:
     """Top-k eigenpairs of a symmetric matrix by algebraic value."""
     M = _check_symmetric(M)
     n = M.shape[0]
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
-    if k == n:
-        w, v = eigh(M, check_finite=False)
-    else:
-        w, v = eigh(M, subset_by_index=[n - k, n - 1], check_finite=False)
-    w = w[::-1].copy()
-    v = _fix_signs(v[:, ::-1])
-    residuals = np.linalg.norm(M @ v - v * w, axis=0)
-    return EigenPairs(w, v, residuals)
+    found = None
+    if n >= _LANCZOS_MIN_N and 2 * k < _LANCZOS_NCV:  # room for twice the wanted pairs
+        found = _lanczos(M, k, "LA")
+    if found is None:
+        if k == n:
+            w, v = eigh(M, check_finite=False)
+        else:
+            w, v = eigh(M, subset_by_index=[n - k, n - 1], check_finite=False)
+        residuals = _residuals(M, w, v)
+        worst = float(np.max(residuals))
+        if not worst <= _residual_bound(M):
+            raise ConvergenceError(
+                f"dense eigh residual {worst:.3e} exceeds {RESIDUAL_RTOL:g} * ||M||_F", worst
+            )
+        found = w, v, residuals
+    w, v, residuals = found
+    return EigenPairs(w[::-1].copy(), _fix_signs(v[:, ::-1]), residuals[::-1].copy())
 
 
 def operator_norm(M: np.ndarray) -> float:
-    """max(|lambda_max|, |lambda_min|) of a symmetric matrix."""
+    """max(|lambda_max|, |lambda_min|) of a symmetric matrix.
+
+    Lanczos asks for one pair at each end ("BE"): asking for the single
+    pair of largest magnitude ("LM") can settle on the wrong end when one
+    end is isolated and the other clustered. The dense path is LAPACK's
+    full spectrum, values only, so it has no residual to check.
+    """
     M = _check_symmetric(M)
-    if M.shape[0] == 0:
+    n = M.shape[0]
+    if n == 0:
         return 0.0
-    w = eigvalsh(M, check_finite=False)
+    found = _lanczos(M, 2, "BE", _NORM_TOL) if n >= _LANCZOS_MIN_N else None
+    w = found[0] if found is not None else eigvalsh(M, check_finite=False)
     return float(max(abs(w[0]), abs(w[-1])))
 
 

@@ -1,12 +1,21 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh, eigvalsh
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from nlspike import spectral as sp
 from nlspike.distributions import Gaussian
-from nlspike.errors import ContractError, ParameterError
+from nlspike.errors import ContractError, ConvergenceError, ParameterError
 from nlspike.matrixgen import sample_wigner
 from nlspike.theory import semicircle_density
 
@@ -193,3 +202,181 @@ def test_esd_wigner_matches_semicircle():
     centers, density = sp.esd_histogram(M, 40, (-2.2, 2.2))
     expected = semicircle_density(centers, 1.0)
     assert float(np.max(np.abs(density - expected))) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos extremal solver against dense LAPACK
+# ---------------------------------------------------------------------------
+
+LANCZOS_SIZES = st.integers(sp._LANCZOS_MIN_N, 800)
+
+
+def _matrix(kind, n, seed, shift):
+    """Test matrices for the Lanczos path, scaled like the trials' (bulk
+    edge near +-2)."""
+    rng = np.random.default_rng(seed)
+    M = sample_wigner(n, Gaussian(0, 1), seed=seed) / math.sqrt(n)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    if kind == "spiked":  # a detached top outlier
+        M += shift * np.outer(u, u)
+    elif kind == "negative-outlier":  # |lambda_min| > lambda_max
+        M -= shift * np.outer(u, u)
+    elif kind == "near-equal-ends":  # the ends 10^-shift apart, as in a decompose remainder
+        w = eigvalsh(M)
+        M -= (0.5 * (w[0] + w[-1]) + 0.5 * 10.0**-shift) * np.eye(n)
+    return M
+
+
+def _dense_top(M, k):
+    n = M.shape[0]
+    w, v = eigh(M, subset_by_index=[n - k, n - 1])
+    return w[::-1], v[:, ::-1]
+
+
+def _assert_matches_dense(values, vectors, residuals, M, w_ref, v_ref):
+    bound = sp.RESIDUAL_RTOL * np.linalg.norm(M)
+    assert np.all(residuals <= bound)
+    assert np.all(np.abs(values - w_ref) <= 1e-10 * np.abs(w_ref).max())
+    for j in range(vectors.shape[1]):
+        assert abs(vectors[:, j] @ v_ref[:, j]) >= 1.0 - 1e-10
+
+
+@given(
+    LANCZOS_SIZES,
+    st.sampled_from(["wigner", "spiked", "negative-outlier", "near-equal-ends"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 4]),
+    st.floats(2.0, 6.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_lanczos_top_k_matches_dense(n, kind, seed, k, shift):
+    M = _matrix(kind, n, seed, shift)
+    found = sp._lanczos(M, k, "LA")
+    assert found is not None
+    w, v, residuals = found
+    w_ref, v_ref = _dense_top(M, k)
+    _assert_matches_dense(w[::-1], v[:, ::-1], residuals[::-1], M, w_ref, v_ref)
+    pairs = sp.sym_eig_top(M, k)  # the public entry takes the same path
+    assert np.array_equal(pairs.values, w[::-1])
+    assert np.array_equal(np.abs(pairs.vectors), np.abs(v[:, ::-1]))
+
+
+@given(
+    LANCZOS_SIZES,
+    st.sampled_from(["wigner", "spiked", "negative-outlier", "near-equal-ends"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(2.0, 6.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
+    M = _matrix(kind, n, seed, shift)
+    found = sp._lanczos(M, 2, "BE", sp._NORM_TOL)
+    assert found is not None
+    w, v, residuals = found
+    w_all, v_all = eigh(M)
+    ends = [0, n - 1]
+    _assert_matches_dense(w, v, residuals, M, w_all[ends], v_all[:, ends])
+    dense = max(abs(w_all[0]), abs(w_all[-1]))
+    assert abs(sp.operator_norm(M) - dense) <= 1e-10 * dense
+
+
+def test_operator_norm_finds_the_clustered_end():
+    # an isolated top at 1 and a cluster at the bottom whose end is
+    # -1.001: one "largest magnitude" pair settles on the wrong end here
+    n = sp._LANCZOS_MIN_N
+    rng = np.random.default_rng(0)
+    lam = rng.uniform(-1.0, 0.5, n)
+    lam[0] = 1.0
+    lam[1:30] = -1.0 + rng.uniform(0.0, 1e-3, 29)
+    lam[1] = -1.001
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = (Q * lam) @ Q.T
+    M = 0.5 * (M + M.T)
+    assert sp.operator_norm(M) == pytest.approx(1.001, rel=1e-10)
+
+
+def test_lanczos_zero_and_rank_one_above_crossover():
+    n = sp._LANCZOS_MIN_N + 1
+    zero = np.zeros((n, n))
+    assert sp.operator_norm(zero) == 0.0
+    pairs = sp.sym_eig_top(zero, 2)
+    assert np.array_equal(pairs.values, [0.0, 0.0])
+    assert np.array_equal(pairs.residuals, [0.0, 0.0])
+
+    u = np.random.default_rng(1).standard_normal(n)
+    u /= np.linalg.norm(u)
+    for coefficient in (3.0, -3.0):
+        M = coefficient * np.outer(u, u)
+        assert sp.operator_norm(M) == pytest.approx(3.0, rel=1e-12)
+        pairs = sp.sym_eig_top(M, 2)
+        top = max(coefficient, 0.0)
+        assert np.all(np.abs(pairs.values - [top, 0.0]) <= 1e-12)
+        assert np.all(pairs.residuals <= sp.RESIDUAL_RTOL * 3.0)
+        if coefficient > 0.0:
+            assert abs(pairs.vectors[:, 0] @ u) >= 1.0 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the dense fallback
+# ---------------------------------------------------------------------------
+
+
+def _no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+
+def _bad_pair(A, k, **kwargs):
+    """Unit vectors that are not eigenvectors, with plausible values."""
+    n = A.shape[0]
+    v, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, k)))
+    return np.linspace(1.0, 2.0, k), v
+
+
+@pytest.mark.parametrize("fake", [_no_convergence, _bad_pair], ids=["no-convergence", "bad-pair"])
+def test_fallback_returns_the_dense_answer(monkeypatch, fake):
+    n = sp._LANCZOS_MIN_N + 20
+    M = _matrix("spiked", n, 3, 4.0)
+    w_ref, v_ref = _dense_top(M, 2)
+    dense_norm = float(max(abs(x) for x in eigvalsh(M)[[0, -1]]))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fake)
+    assert sp._lanczos(M, 2, "LA") is None
+    pairs = sp.sym_eig_top(M, 2)
+    assert np.array_equal(pairs.values, w_ref)
+    assert np.array_equal(np.abs(pairs.vectors), np.abs(v_ref))
+    assert np.all(pairs.residuals <= sp.RESIDUAL_RTOL * np.linalg.norm(M))
+    assert sp.operator_norm(M) == dense_norm
+
+
+@pytest.mark.parametrize("n", [40, sp._LANCZOS_MIN_N + 20])
+def test_dense_residual_failure_raises_convergence_error(monkeypatch, n):
+    M = _matrix("wigner", n, 4, 0.0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _bad_pair)
+    monkeypatch.setattr(sp, "eigh", lambda A, **kwargs: _bad_pair(A, 1))
+    with pytest.raises(ConvergenceError, match="residual") as info:
+        sp.sym_eig_top(M, 1)
+    assert info.value.residual > sp.RESIDUAL_RTOL * np.linalg.norm(M)
+
+
+def test_import_leaves_arpack_unloaded():
+    # scipy.sparse.linalg is imported on the first Lanczos solve, not by
+    # `import nlspike` (about 34 ms of every CLI start)
+    src = Path(sp.__file__).resolve().parents[1]
+    code = "import sys, nlspike; print('scipy.sparse.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_lanczos_reads_the_triangle_lapack_reads():
+    # asymmetry inside the symmetry tolerance: both solvers must see the
+    # same (lower) triangle, or their answers part by about the asymmetry
+    n = sp._LANCZOS_MIN_N
+    M = _matrix("spiked", n, 6, 3.0)
+    rng = np.random.default_rng(6)
+    M += np.triu(rng.uniform(-0.4, 0.4, (n, n)) * sp.SYMMETRY_RTOL * np.abs(M).max(), 1)
+    w_ref, _ = _dense_top(M, 2)
+    assert np.all(np.abs(sp.sym_eig_top(M, 2).values - w_ref) <= 1e-13 * w_ref[0])
+    w_all = eigvalsh(M)
+    dense = max(-w_all[0], w_all[-1])
+    assert abs(sp.operator_norm(M) - dense) <= 1e-13 * dense
