@@ -141,10 +141,6 @@ def variance(d: Distribution) -> float:
     return moment(d, 2) - mean(d) ** 2
 
 
-def std(d: Distribution) -> float:
-    return math.sqrt(max(variance(d), 0.0))
-
-
 @singledispatch
 def _draw(d, count: int, seed: int) -> np.ndarray:
     raise ParameterError(f"not a distribution: {d!r}")

@@ -28,8 +28,8 @@ from .errors import CapabilityError, ParameterError
 MAX_POLY_DEGREE = 32
 DEFAULT_GH_NODES = 64
 DEFAULT_MC_SAMPLES = 1_000_000
-DEFAULT_INDEX_TOL = 1e-9
-DEFAULT_K_MAX = 16
+INDEX_TOL = 1e-9  # a moment below this never counts as nonzero
+K_MAX = 16  # highest derivative order the index scans reach
 _EPS = float(np.finfo(float).eps)
 
 
@@ -233,8 +233,7 @@ def _mc_expectation(f, d: Distribution, samples: int, seed: int) -> tuple[float,
     """(mean, standard error) of f(Z) over `samples` draws."""
     if samples < 2:
         raise ParameterError(f"Monte Carlo needs at least 2 samples, got {samples}")
-    z = dist.sample(d, samples, seed)
-    vals = evaluate(f, z) if isinstance(f, (Polynomial, Named)) else f(z)
+    vals = evaluate(f, dist.sample(d, samples, seed))
     return float(np.mean(vals)), float(np.std(vals) / math.sqrt(samples))
 
 
@@ -257,7 +256,9 @@ def expectation(
     derivatives (Horner in tanh(x) with coefficients up to 3.7e14 at order
     16); against a 50-digit oracle the deviation reaches 10.2x the
     returned error at k = 13 under U(0.2, 2). Monte Carlo runs only when
-    requested, as a reference; its error is the standard error.
+    requested, as a reference; its error is the standard error. Only this
+    function, and the index scans that pass their keywords on to it, take
+    these knobs: every other moment runs on the default path.
     """
     if method not in ("auto", "closed-form", "gauss-hermite", "monte-carlo"):
         raise ParameterError(f"unknown moment method {method!r}")
@@ -273,17 +274,9 @@ def expectation(
     return float(w @ vals), len(x) * _EPS * float(w @ np.abs(vals)), used
 
 
-def derivative_moment(
-    f: NonlinearFn,
-    k: int,
-    d: Distribution,
-    method: str = "auto",
-    gh_nodes: int = DEFAULT_GH_NODES,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed: int = 0,
-) -> float:
+def derivative_moment(f: NonlinearFn, k: int, d: Distribution) -> float:
     """mu_{f^(k)} = E f^(k)(Z) with Z ~ d."""
-    value, _, _ = expectation(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
+    value, _, _ = expectation(derivative(f, k), d)
     return value
 
 
@@ -298,68 +291,41 @@ class MomentTable:
         return self.values[k]
 
 
-def moment_table(
-    f: NonlinearFn,
-    d: Distribution,
-    k_max: int,
-    method: str = "auto",
-    gh_nodes: int = DEFAULT_GH_NODES,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed: int = 0,
-) -> MomentTable:
+def moment_table(f: NonlinearFn, d: Distribution, k_max: int) -> MomentTable:
     """Tabulate mu_{f^(k)} for k = 0..k_max.
 
     For polynomial f, entries past the degree are exact zeros.
     """
     values, methods = {}, set()
     for k in range(k_max + 1):
-        values[k], _, m = expectation(derivative(f, k), d, method, gh_nodes, mc_samples, mc_seed)
+        values[k], _, m = expectation(derivative(f, k), d)
         methods.add(m)
     return MomentTable(values, " + ".join(sorted(methods)))
 
 
-def sd_f(
-    f: NonlinearFn,
-    d: Distribution,
-    method: str = "auto",
-    gh_nodes: int = DEFAULT_GH_NODES,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed: int = 0,
-) -> float:
+def sd_f(f: NonlinearFn, d: Distribution) -> float:
     """Standard deviation of f(Z) with Z ~ d, on the path expectation takes."""
-    if isinstance(f, Polynomial) and method in ("auto", "closed-form"):
+    if isinstance(f, Polynomial):
         sq = np.convolve(f.coeffs, f.coeffs)
         mean_sq = sum(c * dist.moment(d, j) for j, c in enumerate(sq) if c != 0.0)
         mean_f = _poly_expectation(f, d)
         return math.sqrt(max(mean_sq - mean_f**2, 0.0))
-    mean_f, _, _ = expectation(f, d, method, gh_nodes, mc_samples, mc_seed)
-    if method == "monte-carlo":
-        sq_fn = (lambda x: (evaluate(f, x) - mean_f) ** 2)
-        var, _ = _mc_expectation(sq_fn, d, mc_samples, mc_seed)
-    else:
-        x, w, _ = _rule(d, gh_nodes)
-        var = float(w @ (evaluate(f, x) - mean_f) ** 2)
+    mean_f, _, _ = expectation(f, d)
+    x, w, _ = _rule(d, DEFAULT_GH_NODES)
+    var = float(w @ (evaluate(f, x) - mean_f) ** 2)
     return math.sqrt(max(var, 0.0))
 
 
-def gamma_moment(
-    f: NonlinearFn,
-    k: int,
-    d: Distribution,
-    method: str = "auto",
-    gh_nodes: int = DEFAULT_GH_NODES,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed: int = 0,
-) -> float:
+def gamma_moment(f: NonlinearFn, k: int, d: Distribution) -> float:
     """E f^(k)(Z - E Z): the derivative moment of the centered law."""
     _, centered = dist.mean_and_center(d)
-    return derivative_moment(f, k, centered, method, gh_nodes, mc_samples, mc_seed)
+    return derivative_moment(f, k, centered)
 
 
-def sd_f_centered(f: NonlinearFn, d: Distribution, **kwargs) -> float:
+def sd_f_centered(f: NonlinearFn, d: Distribution) -> float:
     """SD of f(Z - E Z)."""
     _, centered = dist.mean_and_center(d)
-    return sd_f(f, centered, **kwargs)
+    return sd_f(f, centered)
 
 
 # ---------------------------------------------------------------------------
@@ -367,63 +333,51 @@ def sd_f_centered(f: NonlinearFn, d: Distribution, **kwargs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _effective_k_max(f: NonlinearFn, k_max: int) -> int:
-    """Clamp the scan range for polynomials, where the tail is exactly zero."""
-    if isinstance(f, Polynomial):
-        return min(k_max, f.degree)
-    return k_max
+def _top_order(f: NonlinearFn) -> int:
+    """K_MAX, clamped to the degree for polynomials, whose tail is exactly zero."""
+    return min(K_MAX, f.degree) if isinstance(f, Polynomial) else K_MAX
 
 
-def _scan_index(k_values, magnitude, tol: float) -> int | float:
-    """First k whose |value| exceeds max(tol, 5 * error), else inf."""
-    hits = (k for k in k_values for v, e in [magnitude(k)] if abs(v) > max(tol, 5.0 * e))
+def _scan_index(k_values, magnitude) -> int | float:
+    """First k whose |value| exceeds max(INDEX_TOL, 5 * error), else inf."""
+    hits = (k for k in k_values for v, e in [magnitude(k)] if abs(v) > max(INDEX_TOL, 5.0 * e))
     return next(hits, math.inf)
 
 
 def even_odd_index(
-    f: NonlinearFn,
-    d: Distribution,
-    tol: float = DEFAULT_INDEX_TOL,
-    k_max: int = DEFAULT_K_MAX,
-    **kwargs,
+    f: NonlinearFn, d: Distribution, **kwargs
 ) -> tuple[int | float, int | float]:
-    """(I_e, I_o): smallest even / odd k with mu_{f^(k)} != 0, else inf.
+    """(I_e, I_o): smallest even / odd k <= K_MAX with mu_{f^(k)} != 0,
+    else inf.
 
-    The infinity verdict is exact for polynomials (k_max clamps to the
-    degree). A moment counts as nonzero when it exceeds both tol and five
-    times its reported error: the quadrature rounding floor, or the
-    standard error on a requested Monte Carlo path.
+    The infinity verdict is exact for polynomials (the scan stops at the
+    degree). A moment counts as nonzero when it exceeds both INDEX_TOL and
+    five times its reported error: the quadrature rounding floor, or the
+    standard error on a requested Monte Carlo path. kwargs (method,
+    gh_nodes, mc_samples, mc_seed) go to expectation.
     """
-    if k_max < 1:
-        raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    k_hi = _effective_k_max(f, k_max)
+    k_hi = _top_order(f)
 
     def mag(k):
         value, err, _ = expectation(derivative(f, k), d, **kwargs)
         return value, err
 
-    i_e = _scan_index(range(0, k_hi + 1, 2), mag, tol)
-    i_o = _scan_index(range(1, k_hi + 1, 2), mag, tol)
+    i_e = _scan_index(range(0, k_hi + 1, 2), mag)
+    i_o = _scan_index(range(1, k_hi + 1, 2), mag)
     return i_e, i_o
 
 
 def signal_constant_index(
-    f: NonlinearFn,
-    d: Distribution,
-    d_bar: Distribution,
-    tol: float = DEFAULT_INDEX_TOL,
-    k_max: int = DEFAULT_K_MAX,
-    **kwargs,
+    f: NonlinearFn, d: Distribution, d_bar: Distribution, **kwargs
 ) -> tuple[int | float, int | float]:
     """(J_s, J_c) for the pair of community laws (d, d_bar).
 
     J_s is the smallest k with gamma_k + (-1)^(k+1) gamma_bar_k != 0 and
-    J_c the smallest with the (-1)^k sign, both scanned up to k_max
-    (clamped to the degree for polynomials, making inf exact).
+    J_c the smallest with the (-1)^k sign, both scanned up to K_MAX
+    (clamped to the degree for polynomials, making inf exact), on the
+    same nonzero test and kwargs as even_odd_index.
     """
-    if k_max < 1:
-        raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    k_hi = _effective_k_max(f, k_max)
+    k_hi = _top_order(f)
     _, cd = dist.mean_and_center(d)
     _, cdb = dist.mean_and_center(d_bar)
 
@@ -435,8 +389,8 @@ def signal_constant_index(
 
         return mag
 
-    j_s = _scan_index(range(k_hi + 1), combo(1), tol)
-    j_c = _scan_index(range(k_hi + 1), combo(0), tol)
+    j_s = _scan_index(range(k_hi + 1), combo(1))
+    j_c = _scan_index(range(k_hi + 1), combo(0))
     return j_s, j_c
 
 

@@ -27,6 +27,7 @@ from scipy.linalg import eigh, eigvalsh
 from scipy.linalg.blas import dsymv
 
 from .errors import ContractError, ConvergenceError, ParameterError
+from .matrixgen import row_blocks
 from .rng import generator
 
 SYMMETRY_RTOL = 1e-9
@@ -34,7 +35,6 @@ SYMMETRY_RTOL = 1e-9
 # dense pairs measured below 1e-16 of it and Lanczos pairs below 5e-14;
 # a vector that is no eigenvector leaves about ||M||_2 >= ||M||_F / sqrt(n).
 RESIDUAL_RTOL = 1e-10
-_STRIP_ROWS = 64  # rows per strip of the symmetry check, as matrixgen.BLOCK_ROWS
 # Smallest n solved by Lanczos: below it dense LAPACK is as fast (measured
 # on signed, decompose-remainder and SBM matrices at BLAS 1 and 2, n 300-800).
 _LANCZOS_MIN_N = 500
@@ -66,12 +66,10 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     if not np.isfinite(scale):
         raise ContractError("matrix has non-finite entries")
     if scale > 0.0:
-        # max |M - M^T| by row strips: rows [lo, hi) against columns lo..
-        # reach every pair (i, j) with i <= j, with strip-sized temporaries
-        n = M.shape[0]
+        # max |M - M^T| by row blocks: rows [lo, hi) against columns lo..
+        # reach every pair (i, j) with i <= j, with block-sized temporaries
         asym = 0.0
-        for lo in range(0, n, _STRIP_ROWS):
-            hi = min(lo + _STRIP_ROWS, n)
+        for lo, hi in row_blocks(M.shape[0]):
             asym = max(asym, np.max(np.abs(M[lo:hi, lo:] - M[lo:, lo:hi].T)))
         if asym > SYMMETRY_RTOL * scale:
             raise ContractError(

@@ -35,8 +35,6 @@ from .nonlinearity import (
     sd_f,
     sd_f_centered,
     signal_constant_index,
-    DEFAULT_INDEX_TOL,
-    DEFAULT_K_MAX,
 )
 
 KAPPA_DEAD_ZONE = 1e-9
@@ -135,22 +133,45 @@ def _compare_alpha(alpha, threshold: Fraction) -> int:
     return 0 if a == threshold else 1
 
 
-def _critical_limits(kappa: float, sigma_f: float) -> tuple[float | str, float, bool]:
-    """(outlier, alignment, at_threshold) at the critical exponent."""
-    if abs(kappa - sigma_f) <= KAPPA_DEAD_ZONE:
-        return 2.0 * sigma_f, 0.0, True
-    if kappa > sigma_f:
-        return kappa + sigma_f**2 / kappa, math.sqrt(1.0 - sigma_f**2 / kappa**2), False
-    return 2.0 * sigma_f, 0.0, False
+def _classify(
+    model: str,
+    index: int | float,
+    kappa: float | None,
+    sigma_f: float,
+    alpha,
+    which: int,
+    indices: dict[str, float],
+) -> RegimePrediction:
+    """The verdict both models share, from the first nonzero index I.
+
+    No index (inf) leaves the signal unrecoverable and I = 0 makes it
+    trivially recoverable. Otherwise alpha is compared with the critical
+    exponent (I - 1)/(2I); at it, kappa against sigma_f gives the BBP
+    limits, or the dead-zone flag when the two are within 1e-9.
+    """
+    threshold, outlier, align, at_thr = None, 2.0 * sigma_f, 0.0, False
+    if math.isinf(index):
+        regime = "sign-unrecoverable" if model == "wigner" else "signal-unrecoverable"
+    elif index == 0:
+        regime, outlier, align = "trivially-recoverable", "diverges", 1.0
+    else:
+        threshold = Fraction(index - 1, 2 * index)
+        side = _compare_alpha(alpha, threshold)
+        regime = ("subcritical", "critical", "supercritical")[side + 1]
+        if side > 0:
+            outlier, align = "diverges", 1.0
+        elif side == 0:
+            at_thr = abs(kappa - sigma_f) <= KAPPA_DEAD_ZONE
+            if kappa > sigma_f and not at_thr:
+                outlier = kappa + sigma_f**2 / kappa
+                align = math.sqrt(1.0 - sigma_f**2 / kappa**2)
+    return RegimePrediction(
+        model, regime, threshold, kappa, sigma_f, outlier, align, which, indices, at_thr
+    )
 
 
 def signed_recovery_prediction(
-    f: NonlinearFn,
-    d: Distribution,
-    c_lambda: float,
-    alpha,
-    tol: float = DEFAULT_INDEX_TOL,
-    k_max: int = DEFAULT_K_MAX,
+    f: NonlinearFn, d: Distribution, c_lambda: float, alpha
 ) -> RegimePrediction:
     """Recovery verdict for a Rademacher-normalized signal under i.i.d.
     noise with entry law d.
@@ -160,44 +181,17 @@ def signed_recovery_prediction(
     else the first. kappa = c^Io mu_{f^(Io)} / Io! against
     sigma_f = SD(f(Z)).
     """
-    i_e, i_o = even_odd_index(f, d, tol, k_max)
+    i_e, i_o = even_odd_index(f, d)
     sigma_f = sd_f(f, d)
+    kappa = None
+    if math.isfinite(i_o):
+        kappa = c_lambda**i_o / math.factorial(i_o) * derivative_moment(f, i_o, d)
     indices = {"I_e": float(i_e), "I_o": float(i_o)}
-    which = 2 if i_e < i_o else 1
-    if math.isinf(i_o):
-        return RegimePrediction(
-            "wigner", "sign-unrecoverable", None, None, sigma_f,
-            2.0 * sigma_f, 0.0, which, indices,
-        )
-    i_o = int(i_o)
-    threshold = Fraction(i_o - 1, 2 * i_o)
-    kappa = c_lambda**i_o / math.factorial(i_o) * derivative_moment(f, i_o, d)
-    side = _compare_alpha(alpha, threshold)
-    if side < 0:
-        return RegimePrediction(
-            "wigner", "subcritical", threshold, kappa, sigma_f,
-            2.0 * sigma_f, 0.0, which, indices,
-        )
-    if side > 0:
-        return RegimePrediction(
-            "wigner", "supercritical", threshold, kappa, sigma_f,
-            "diverges", 1.0, which, indices,
-        )
-    outlier, align, at_thr = _critical_limits(kappa, sigma_f)
-    return RegimePrediction(
-        "wigner", "critical", threshold, kappa, sigma_f,
-        outlier, align, which, indices, at_thr,
-    )
+    return _classify("wigner", i_o, kappa, sigma_f, alpha, 2 if i_e < i_o else 1, indices)
 
 
 def sbm_recovery_prediction(
-    f: NonlinearFn,
-    d: Distribution,
-    d_bar: Distribution,
-    c_lambda: float,
-    alpha,
-    tol: float = DEFAULT_INDEX_TOL,
-    k_max: int = DEFAULT_K_MAX,
+    f: NonlinearFn, d: Distribution, d_bar: Distribution, c_lambda: float, alpha
 ) -> RegimePrediction:
     """Community-recovery verdict for the transformed two-block model.
 
@@ -207,44 +201,17 @@ def sbm_recovery_prediction(
     c^Js (gamma_Js + (-1)^(Js+1) gammabar_Js) / (2 Js!). The alignment
     limit uses the outlier-consistent form sqrt(1 - sigma_f^2/kappa^2).
     """
-    j_s, j_c = signal_constant_index(f, d, d_bar, tol, k_max)
+    j_s, j_c = signal_constant_index(f, d, d_bar)
     s = sd_f_centered(f, d)
     sb = sd_f_centered(f, d_bar)
     sigma_f = math.sqrt(0.5 * (s**2 + sb**2))
+    kappa = None
+    if 0 < j_s < math.inf:
+        g = gamma_moment(f, j_s, d)
+        gb = gamma_moment(f, j_s, d_bar)
+        kappa = c_lambda**j_s * (g + (-1.0) ** (j_s + 1) * gb) / (2.0 * math.factorial(j_s))
     indices = {"J_s": float(j_s), "J_c": float(j_c)}
-    if j_s == 0:
-        which = 1 if j_s <= j_c else 2
-        return RegimePrediction(
-            "sbm", "trivially-recoverable", None, None, sigma_f,
-            "diverges", 1.0, which, indices,
-        )
-    which = 2 if j_s > j_c else 1
-    if math.isinf(j_s):
-        return RegimePrediction(
-            "sbm", "signal-unrecoverable", None, None, sigma_f,
-            2.0 * sigma_f, 0.0, which, indices,
-        )
-    j_s = int(j_s)
-    threshold = Fraction(j_s - 1, 2 * j_s)
-    g = gamma_moment(f, j_s, d)
-    gb = gamma_moment(f, j_s, d_bar)
-    kappa = c_lambda**j_s * (g + (-1.0) ** (j_s + 1) * gb) / (2.0 * math.factorial(j_s))
-    side = _compare_alpha(alpha, threshold)
-    if side < 0:
-        return RegimePrediction(
-            "sbm", "subcritical", threshold, kappa, sigma_f,
-            2.0 * sigma_f, 0.0, which, indices,
-        )
-    if side > 0:
-        return RegimePrediction(
-            "sbm", "supercritical", threshold, kappa, sigma_f,
-            "diverges", 1.0, which, indices,
-        )
-    outlier, align, at_thr = _critical_limits(kappa, sigma_f)
-    return RegimePrediction(
-        "sbm", "critical", threshold, kappa, sigma_f,
-        outlier, align, which, indices, at_thr,
-    )
+    return _classify("sbm", j_s, kappa, sigma_f, alpha, 2 if j_s > j_c else 1, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +385,23 @@ def spectral_density_from_qve(
     return tau, np.clip(rho, 0.0, None)
 
 
+def _bulk_transform(beta: float, sigma: float, sigma_bar: float, tau: float) -> complex:
+    """The whole bulk's transform beta m1 + (1-beta) m2 at tau + 1e-9 i,
+    the height at which the edge and outlier searches probe the axis."""
+    m1, m2, _ = _solve_qve_ladder(
+        beta, sigma**2, sigma_bar**2, np.array([tau]), 1e-9, 200_000, 1e-13
+    )
+    return beta * m1[0] + (1.0 - beta) * m2[0]
+
+
 def qve_support_edge(
     beta: float, sigma: float, sigma_bar: float, tol: float = 1e-10
 ) -> float:
     """Rightmost point of the limiting bulk support, by bisection on the
     boundary density."""
-    s2, sb2 = sigma**2, sigma_bar**2
-    eta = 1e-9
 
     def in_support(tau: float) -> bool:
-        m1, m2, _ = _solve_qve_ladder(beta, s2, sb2, np.array([tau]), eta, 200_000, 1e-13)
-        dens = beta * m1[0].imag + (1.0 - beta) * m2[0].imag
-        return dens > 1e-4
+        return _bulk_transform(beta, sigma, sigma_bar, tau).imag > 1e-4
 
     lo = 0.0
     hi = 2.0 * max(sigma, sigma_bar) + 1.0
@@ -455,13 +427,10 @@ def sbm_numeric_outlier(
     """
     if kappa <= 0.0:
         return None
-    s2, sb2 = sigma**2, sigma_bar**2
     edge = qve_support_edge(beta, sigma, sigma_bar)
-    eta = 1e-9
 
     def g(tau: float) -> float:
-        m1, m2, _ = _solve_qve_ladder(beta, s2, sb2, np.array([tau]), eta, 200_000, 1e-13)
-        return float(beta * m1[0].real + (1.0 - beta) * m2[0].real) + 1.0 / kappa
+        return float(_bulk_transform(beta, sigma, sigma_bar, tau).real) + 1.0 / kappa
 
     lo = edge + max(1e-7, edge * 1e-9)
     if g(lo) >= 0.0:

@@ -12,8 +12,8 @@ n = 2000. Criteria 2, 4 and 6 therefore evaluate the same formulas with
 that finite-n entry law (_finite_n_bbp, _increment_sd) and keep their
 band widths around the result; each of those checks prints the limit
 value beside its finite-n reference. Criterion 3 stays a documented
-finite-size failure: its gap comes from transition softening inside the
-BBP window, for which the package has no finite-n prediction.
+finite-size failure whose cause is open; the lead is the noise image's
+finite-n bulk edge, which sits above 2 sigma_f (see its docstring).
 """
 
 import math
@@ -230,10 +230,16 @@ def test_acceptance_3_scale_collapse(tmp_path):
     give u1 midpoints 1.977 / 1.949 (gap 0.027) and u2 midpoints
     2.934 / 3.067 (shift 0.133), so sigma_eff alone cancels only 0.024
     of the predicted +0.157 drift (0.049 of the 0.182 that the same fit
-    gives on the limit curves). The rest comes from the softening of
-    the transition inside the BBP window, for which the package has no
-    finite-n prediction. The raw curves do separate visibly with n, so
-    the qualitative effect is real.
+    gives on the limit curves). What causes the rest is open. It is not
+    softening of the transition inside the BBP window: a spiked GOE in
+    the Dumitriu-Edelman tridiagonal model, put through this test's fit
+    on its c grid with 150 trials per c, gives u1 midpoints that are
+    flat in n (1.856 / 1.873 / 1.871 at n = 1000 / 2000 / 8000). The
+    lead is the bulk edge of the noise image: with no spike, the median
+    top eigenvalue of f(W)/sqrt(n) exceeds 2 sigma_f by +5.7 % at
+    n = 1000 and +2.5 % at n = 2000, and a spike must clear that higher
+    edge before its outlier detaches. The raw curves do separate visibly
+    with n, so the qualitative effect is real.
     """
     raw = {
         "experiment": "signed-sweep",
