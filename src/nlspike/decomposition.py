@@ -28,9 +28,9 @@ from .matrixgen import (
     SbmSpec,
     SignalVector,
     SpikeParams,
-    assemble_observation,
     community_signal,
-    row_blocks,
+    image_step,
+    symmetrize_upper,
 )
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
@@ -150,15 +150,13 @@ class DecompositionReport:
         }
 
 
-def _dense_sum(noise_rows: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) -> np.ndarray:
-    """noise_rows, which are rows lo: of the noise image, plus the same rows
-    of the spikes, added in spike order into a copy."""
-    out = noise_rows.copy()
-    hi = lo + len(out)
+def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) -> np.ndarray:
+    """noise, which is rows lo: and columns lo: of the noise image, plus the
+    same part of the spikes, added in spike order in place; returns noise."""
     for term in spikes:
         d = term.direction
-        out += term.coefficient * np.outer(d[lo:hi], d)
-    return out
+        noise += term.coefficient * np.outer(d[lo : lo + len(noise)], d[lo:])
+    return noise
 
 
 def _direction_kind(x: SignalVector, parity_flip: int, k: int) -> str:
@@ -176,9 +174,10 @@ def signal_plus_noise(
     ensemble: Ensemble,
 ) -> DecompositionReport:
     """Build the spike terms and measure the operator-norm remainder
-    f(W + spike)/sqrt(n) - (f(W)/sqrt(n) + spikes), built in one n x n
-    buffer: the noise image and the spikes are formed one row block at a
-    time and subtracted from the observation.
+    f(W + spike)/sqrt(n) - (f(W)/sqrt(n) + spikes), built in W's buffer:
+    each row block's noise image and spikes are formed before the block
+    becomes the observation, then subtracted from it. W is consumed, and
+    only its upper triangle is read.
 
     The ensemble must describe how W was sampled; that consistency is the
     caller's responsibility.
@@ -222,13 +221,15 @@ def signal_plus_noise(
                 )
 
     report_spikes = tuple(spikes)
-    R = assemble_observation(W, f, sp, x)
+    observe = image_step(f, n, x.entries, lam)
     root_n = np.sqrt(n)
-    for lo, hi in row_blocks(n):
-        noise_rows = apply_elementwise(f, W[lo:hi])
-        noise_rows /= root_n
-        R[lo:hi] -= _dense_sum(noise_rows, report_spikes, lo)
-    remainder = operator_norm(R)
+
+    def step(lo: int, hi: int, B: np.ndarray) -> None:
+        noise = _dense_sum(apply_elementwise(f, B) / root_n, report_spikes, lo)
+        observe(lo, hi, B)
+        B -= noise
+
+    remainder = operator_norm(symmetrize_upper(W, step))
     return DecompositionReport(ell, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda)
 
 

@@ -4,7 +4,9 @@ Four kinds are supported: Gaussian, Rademacher, Uniform, and a Centered
 wrapper that shifts any law to mean zero. All four have closed-form raw
 moments, so the expectation of a polynomial against any of them is exact.
 Sampling is pure in (distribution, count, seed); the same triple always
-reproduces the same values bit for bit.
+reproduces the same values bit for bit. `fill` continues a running
+generator, so a matrix can be drawn row by row into its own buffer with
+the bits of one whole draw.
 """
 
 from __future__ import annotations
@@ -142,35 +144,44 @@ def variance(d: Distribution) -> float:
 
 
 @singledispatch
-def _draw(d, count: int, seed: int) -> np.ndarray:
+def fill(d, gen: np.random.Generator, z: np.ndarray) -> None:
+    """Overwrite the 1-D array z with i.i.d. draws of d, continuing gen's
+    stream; filling consecutive chunks equals one draw of their total."""
     raise ParameterError(f"not a distribution: {d!r}")
 
 
-@_draw.register
-def _(d: Gaussian, count: int, seed: int) -> np.ndarray:
-    return d.mean + d.std * generator(seed).standard_normal(count)
+@fill.register
+def _(d: Gaussian, gen: np.random.Generator, z: np.ndarray) -> None:
+    gen.standard_normal(out=z)
+    z *= d.std
+    z += d.mean
 
 
-@_draw.register
-def _(d: Rademacher, count: int, seed: int) -> np.ndarray:
-    return np.where(generator(seed).random(count) < d.p, 1.0, -1.0)
+@fill.register
+def _(d: Rademacher, gen: np.random.Generator, z: np.ndarray) -> None:
+    z[:] = np.where(gen.random(out=z) < d.p, 1.0, -1.0)
 
 
-@_draw.register
-def _(d: Uniform, count: int, seed: int) -> np.ndarray:
-    return d.lo + (d.hi - d.lo) * generator(seed).random(count)
+@fill.register
+def _(d: Uniform, gen: np.random.Generator, z: np.ndarray) -> None:
+    gen.random(out=z)
+    z *= d.hi - d.lo
+    z += d.lo
 
 
-@_draw.register
-def _(d: Centered, count: int, seed: int) -> np.ndarray:
-    return _draw(d.inner, count, seed) - mean(d.inner)
+@fill.register
+def _(d: Centered, gen: np.random.Generator, z: np.ndarray) -> None:
+    fill(d.inner, gen, z)
+    z -= mean(d.inner)
 
 
 def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
     """Draw `count` i.i.d. values, deterministic in (d, count, seed)."""
     if count < 1:
         raise ParameterError(f"sample count must be >= 1, got {count}")
-    return _draw(d, count, seed)
+    z = np.empty(count)
+    fill(d, generator(seed), z)
+    return z
 
 
 def atoms(d: Distribution) -> tuple[tuple[float, float], ...] | None:

@@ -27,8 +27,8 @@ from ..matrixgen import (
     SpikeParams,
     assemble_observation,
     rademacher_signal,
-    sample_sbm_adjacency,
-    sample_wigner,
+    sbm_upper,
+    wigner_upper,
 )
 from ..nonlinearity import sd_f, sd_f_centered
 from ..rng import derive_seed
@@ -97,10 +97,9 @@ def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
 def _signed_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Top two eigenvalues of the observation and the correlations of the
     top pair with the constant direction and of the second with the signal."""
-    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+    W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
-    Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
-    del W  # one n x n buffer fewer under the eigensolver
+    Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)  # in W's buffer
     pairs = sym_eig_top(Y, 2)
     ones = np.full(n, 1.0 / math.sqrt(n))
     corr1 = alignment(pairs.vectors[:, 0], ones)
@@ -136,7 +135,7 @@ def _sbm_theory(cfg: ExperimentConfig, c: float) -> dict:
 
 def _decompose_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Operator-norm remainder of the signal-plus-noise approximation."""
-    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+    W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
     sp = SpikeParams(c, cfg.alpha, n)
     report = signal_plus_noise(W, cfg.f, sp, x, WignerEnsemble(cfg.noise))
@@ -237,14 +236,13 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
     seed = derive_seed(cfg.base_seed, 0)
 
     if cfg.model == "wigner":
-        W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+        W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
         x = rademacher_signal(n, derive_seed(seed, 1))
         Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
-        del W
         sigma = sigma_bar = sd_f(cfg.f, cfg.noise)
         beta = 0.5
     else:
-        Y = transform_and_embed(sample_sbm_adjacency(_shifted_spec(cfg, n, c), seed), cfg.f)
+        Y = transform_and_embed(sbm_upper(_shifted_spec(cfg, n, c), seed), cfg.f)
         sigma = sd_f_centered(cfg.f, cfg.within)
         sigma_bar = sd_f_centered(cfg.f, cfg.across)
         beta = cfg.beta

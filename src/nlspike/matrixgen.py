@@ -1,17 +1,17 @@
 """Noise ensembles, signal vectors, and assembly of the observed matrix.
 
 Matrices are dense, row-major float64 and exactly symmetric: the upper
-triangle (diagonal included) is sampled and mirrored, so M[i, j] and
-M[j, i] are the same bits. Desk scale tops out around n = 4000, where a
-full matrix is 128 MB and one signed trial peaks at about 2.25 such
-buffers by tracemalloc: two matrices at a time (W and Y, then Y and the
-eigensolver's copy of it) plus row blocks and workspace.
+triangle (diagonal included) is computed and mirrored, so M[i, j] and
+M[j, i] are the same bits.
 
-Each sample is built in one n x n buffer. Its upper triangle is filled row
-by row from the value vector, and everything that touches the whole
-matrix after that (mirroring, f) runs in row blocks of BLOCK_ROWS rows, so
-no n^2-sized index array or temporary is made. Blocking changes no
-element's IEEE operation, so the bits equal those of the whole-matrix form.
+A trial builds its matrix in one n x n buffer. The noise is drawn row by
+row into its upper triangle, the observation is formed there in place in
+row blocks of BLOCK_ROWS rows, each from its diagonal on, and one mirror
+fills the lower triangle. No index array, value vector or other n^2-sized
+temporary is made, f runs on about half the entries, and every element
+keeps its IEEE operation, so the bits equal those of the whole-matrix
+form. A trial peaks at about 1.2 buffers by tracemalloc (n = 1024); at
+n = 8000 one buffer is 512 MB.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
 from .nonlinearity import NonlinearFn, apply_elementwise
-from .rng import derive_seed
+from .rng import derive_seed, generator
 
 BLOCK_ROWS = 64  # 1 MB per block at n = 2000, so a block stays in L2 cache; 256 ran slower
 
@@ -131,72 +131,87 @@ def row_blocks(n: int):
     return ((lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
 
 
-def _mirror_lower(out: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of `out` onto its lower triangle in place."""
-    for lo, hi in row_blocks(out.shape[0]):
-        out[lo:hi, :lo] = out[:lo, lo:hi].T
-        diag = out[lo:hi, lo:hi]
-        il = np.tril_indices(hi - lo, -1)
-        diag[il] = diag.T[il]
+def symmetrize_upper(M: np.ndarray, step=None) -> np.ndarray:
+    """Make M exactly symmetric from its upper triangle, the only part read,
+    in place, by row blocks: mirror the diagonal square, let step(lo, hi, B)
+    rewrite B = M[lo:hi, lo:] element-wise, then copy the rows' part left
+    of the square from the finished rows above. Returns M."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.dtype != np.float64 or not M.flags.writeable:
+        raise ParameterError(f"expected a writable square float64 matrix, got {M.dtype} {M.shape}")
+    for lo, hi in row_blocks(M.shape[0]):
+        square = M[lo:hi, lo:hi]
+        np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+        if step is not None:
+            step(lo, hi, M[lo:hi, lo:])
+        M[lo:hi, :lo] = M[:lo, lo:hi].T
+    return M
+
+
+def _draw_upper(n: int, n_plus: int, laws, gens) -> np.ndarray:
+    """n x n buffer whose upper triangle holds draws of laws[0] within the
+    blocks split at n_plus and of laws[1] across; each law's stream fills
+    its entries in row-major order, as a boolean mask assigns them."""
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    out = np.empty((n, n))
+    cols = np.arange(n)
+    for lo, hi in row_blocks(n):
+        rows = np.arange(lo, hi)[:, None]
+        upper = cols >= rows
+        within = upper & ((rows < n_plus) == (cols < n_plus))
+        for mask, d, gen in ((within, laws[0], gens[0]), (upper & ~within, laws[1], gens[1])):
+            values = np.empty(np.count_nonzero(mask))
+            if values.size:
+                dist.fill(d, gen, values)
+                out[lo:hi][mask] = values
     return out
 
 
-def _mirror_upper(n: int, upper_values: np.ndarray) -> np.ndarray:
-    """Symmetric matrix whose upper triangle, read row by row, is upper_values."""
-    out = np.empty((n, n))
-    start = 0
-    for i in range(n):
-        out[i, i:] = upper_values[start : start + n - i]
-        start += n - i
-    return _mirror_lower(out)
+def wigner_upper(n: int, d: Distribution, seed: int) -> np.ndarray:
+    """sample_wigner's upper triangle; the rest is left unwritten."""
+    return _draw_upper(n, n, (d, d), (generator(seed), None))
 
 
 def sample_wigner(n: int, d: Distribution, seed: int) -> np.ndarray:
     """Symmetric n x n matrix with i.i.d. entries on and above the diagonal."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return _mirror_upper(n, dist.sample(d, n * (n + 1) // 2, seed))
+    return symmetrize_upper(wigner_upper(n, d, seed))
+
+
+def sbm_upper(spec: SbmSpec, seed: int) -> np.ndarray:
+    """sample_sbm_adjacency's upper triangle; the rest is left unwritten."""
+    gens = generator(derive_seed(seed, 0)), generator(derive_seed(seed, 1))
+    return _draw_upper(spec.n, spec.n_plus, (spec.within, spec.across), gens)
 
 
 def sample_sbm_adjacency(spec: SbmSpec, seed: int) -> np.ndarray:
     """Weighted adjacency: within-block entries (diagonal included) from
-    `within`, cross-block from `across`; symmetric by mirroring.
+    `within`, cross-block from `across`; symmetric by mirroring."""
+    return symmetrize_upper(sbm_upper(spec, seed))
 
-    Each law's stream fills its upper-triangle entries in row-major order."""
-    n, n_plus = spec.n, spec.n_plus
-    n_minus = n - n_plus
-    n_across = n_plus * n_minus
-    n_within = n * (n + 1) // 2 - n_across
-    within = dist.sample(spec.within, n_within, derive_seed(seed, 0))  # n_within >= n
-    across = dist.sample(spec.across, n_across, derive_seed(seed, 1)) if n_across else None
-    out = np.empty((n, n))
-    w = a = 0  # cursors into the two streams
-    for i in range(n):
-        stop = n_plus if i < n_plus else n
-        out[i, i:stop] = within[w : w + stop - i]
-        w += stop - i
-        if stop < n:
-            out[i, stop:] = across[a : a + n_minus]
-            a += n_minus
-    return _mirror_lower(out)
+
+def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: float = 0.0):
+    """symmetrize_upper step turning W's block into that of f(W + strength
+    sqrt(n) x x^T) / sqrt(n) (no spike without x), in whole-matrix IEEE ops."""
+    root_n, spike = np.sqrt(n), strength * np.sqrt(n)
+
+    def step(lo: int, hi: int, B: np.ndarray) -> None:
+        if xv is not None:
+            B += np.outer(xv[lo:hi], xv[lo:]) * spike
+        B[...] = apply_elementwise(f, B)
+        B /= root_n
+
+    return step
 
 
 def assemble_observation(
     W: np.ndarray, f: NonlinearFn, sp: SpikeParams, x: SignalVector | np.ndarray
 ) -> np.ndarray:
-    """Y = f(W + lambda sqrt(n) x x^T) / sqrt(n)."""
+    """Y = f(W + lambda sqrt(n) x x^T) / sqrt(n), built in W's buffer and
+    returned: W is consumed, and only its upper triangle is read."""
     xv = x.entries if isinstance(x, SignalVector) else np.asarray(x, dtype=float)
     n = sp.n
     if W.shape != (n, n) or len(xv) != n:
         raise ParameterError(
             f"dimension mismatch: W {W.shape}, x {len(xv)}, params n={n}"
         )
-    lam = sp.signal_strength
-    # the spike, the sum, f and the scaling all happen in Y; W is untouched
-    Y = np.outer(xv, xv)
-    Y *= lam * np.sqrt(n)
-    Y += W
-    for lo, hi in row_blocks(n):
-        Y[lo:hi] = apply_elementwise(f, Y[lo:hi])
-    Y /= np.sqrt(n)
-    return Y
+    return symmetrize_upper(W, image_step(f, n, xv, sp.signal_strength))

@@ -334,8 +334,11 @@ def sd_f_centered(f: NonlinearFn, d: Distribution) -> float:
 
 
 def _top_order(f: NonlinearFn) -> int:
-    """K_MAX, clamped to the degree for polynomials, whose tail is exactly zero."""
-    return min(K_MAX, f.degree) if isinstance(f, Polynomial) else K_MAX
+    """K_MAX, clamped to the degree for polynomials, whose tail is exactly
+    zero, and to the one derivative abs and relu have."""
+    if isinstance(f, Polynomial):
+        return min(K_MAX, f.degree)
+    return K_MAX if f.tag == "tanh" else 1 - f.order
 
 
 def _scan_index(k_values, magnitude) -> int | float:
@@ -351,10 +354,11 @@ def even_odd_index(
     else inf.
 
     The infinity verdict is exact for polynomials (the scan stops at the
-    degree). A moment counts as nonzero when it exceeds both INDEX_TOL and
-    five times its reported error: the quadrature rounding floor, or the
-    standard error on a requested Monte Carlo path. kwargs (method,
-    gh_nodes, mc_samples, mc_seed) go to expectation.
+    degree) and for abs under a symmetric law; for relu it means none up
+    to its one derivative. A moment counts as nonzero when it exceeds
+    INDEX_TOL and five times its reported error: the quadrature rounding
+    floor, or the standard error on a requested Monte Carlo path. kwargs
+    (method, gh_nodes, mc_samples, mc_seed) go to expectation.
     """
     k_hi = _top_order(f)
 
@@ -374,8 +378,8 @@ def signal_constant_index(
 
     J_s is the smallest k with gamma_k + (-1)^(k+1) gamma_bar_k != 0 and
     J_c the smallest with the (-1)^k sign, both scanned up to K_MAX
-    (clamped to the degree for polynomials, making inf exact), on the
-    same nonzero test and kwargs as even_odd_index.
+    (clamped as in even_odd_index, which makes inf exact for
+    polynomials), on the same nonzero test and kwargs as even_odd_index.
     """
     k_hi = _top_order(f)
     _, cd = dist.mean_and_center(d)

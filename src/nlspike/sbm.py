@@ -12,16 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .matrixgen import SbmSpec, community_signal, sample_sbm_adjacency
-from .nonlinearity import NonlinearFn, apply_elementwise
+from .matrixgen import SbmSpec, community_signal, image_step, sbm_upper, symmetrize_upper
+from .nonlinearity import NonlinearFn
 from .spectral import sym_eig_top
 
 
 def transform_and_embed(A: np.ndarray, f: NonlinearFn) -> np.ndarray:
-    """f(A) / sqrt(n), element-wise; symmetry is preserved exactly."""
-    Y = apply_elementwise(f, A)
-    Y /= np.sqrt(Y.shape[0])
-    return Y
+    """f(A) / sqrt(n), element-wise, built in A's buffer and returned: A is
+    consumed, and only its upper triangle is read."""
+    return symmetrize_upper(A, image_step(f, A.shape[0]))
 
 
 def _sign_labels(v: np.ndarray) -> np.ndarray:
@@ -72,7 +71,7 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     f and the block laws, not of the trial: it is
     RegimePrediction.which_eigenpair of `sbm_recovery_prediction`.
     """
-    Y = transform_and_embed(sample_sbm_adjacency(spec, seed), f)
+    Y = transform_and_embed(sbm_upper(spec, seed), f)
     k = min(4, spec.n)
     pairs = sym_eig_top(Y, k)
     top4 = tuple(float(v) for v in pairs.values) + (float("nan"),) * (4 - k)

@@ -188,7 +188,8 @@ def esd_histogram(
 
     sum(density * width) equals the fraction of eigenvalues inside
     [lo, hi); eigenvalues outside the range are excluded but still count
-    in the denominator.
+    in the denominator. M is consumed: LAPACK works in its buffer, read as
+    the Fortran-ordered M.T, whose lower triangle is M's upper one.
     """
     lo, hi = bounds
     if bin_count < 1:
@@ -196,7 +197,7 @@ def esd_histogram(
     if not (lo < hi):
         raise ParameterError(f"need lo < hi, got ({lo}, {hi})")
     M = _check_symmetric(M)
-    w = eigvalsh(M, check_finite=False)
+    w = eigvalsh(M.T, overwrite_a=True, check_finite=False)
     counts, edges = np.histogram(w, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)

@@ -1,10 +1,13 @@
 """The one-buffer builders against the whole-matrix formulas they replace.
 
 The reference functions below are the earlier implementations, kept
-verbatim: fancy-index mirroring through triu/tril index arrays, the
-`is_within` mask for the block model, `W + s xx^T -> f -> / sqrt(n)` on
-whole matrices, and the remainder against a dense `noise + sum of spikes`.
-Every comparison is bit for bit (`np.array_equal` or `==`), not approximate.
+verbatim: one whole-vector draw per law, fancy-index mirroring through
+triu/tril index arrays, the `is_within` mask for the block model,
+`W + s xx^T -> f -> / sqrt(n)` on whole matrices, and the remainder
+against a dense `noise + sum of spikes`. The builders consume their input
+matrix and read only its upper triangle, so they get a copy, or a copy
+whose strict lower triangle is NaN. Every comparison is bit for bit
+(`np.array_equal` or `==`), not approximate.
 """
 
 import numpy as np
@@ -22,7 +25,8 @@ from nlspike.matrixgen import (
     sample_wigner,
 )
 from nlspike.nonlinearity import apply_elementwise, hermite_fn, named
-from nlspike.rng import derive_seed
+from nlspike.rng import derive_seed, generator
+from nlspike.sbm import transform_and_embed
 from nlspike.spectral import operator_norm
 
 LAWS = [
@@ -41,6 +45,16 @@ SIZES = st.integers(1, 600)
 # ---------------------------------------------------------------------------
 # reference formulas
 # ---------------------------------------------------------------------------
+
+
+def _old_draw(d, count, seed):
+    if isinstance(d, dist.Gaussian):
+        return d.mean + d.std * generator(seed).standard_normal(count)
+    if isinstance(d, dist.Rademacher):
+        return np.where(generator(seed).random(count) < d.p, 1.0, -1.0)
+    if isinstance(d, dist.Uniform):
+        return d.lo + (d.hi - d.lo) * generator(seed).random(count)
+    return _old_draw(d.inner, count, seed) - dist.mean(d.inner)
 
 
 def _old_mirror_upper(n, upper_values):
@@ -74,6 +88,12 @@ def _old_assemble_observation(W, f, sp, x):
     return apply_elementwise(f, perturbed) / np.sqrt(n)
 
 
+def _old_transform_and_embed(A, f):
+    Y = apply_elementwise(f, A)
+    Y /= np.sqrt(Y.shape[0])
+    return Y
+
+
 def _old_dense_sum(noise_part, spikes):
     out = noise_part.copy()
     for term in spikes:
@@ -81,9 +101,36 @@ def _old_dense_sum(noise_part, spikes):
     return out
 
 
+def _nan_below(M):
+    """Copy of M whose strict lower triangle is NaN, the part no builder reads."""
+    out = M.copy()
+    out[np.tril_indices(len(M), -1)] = np.nan
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+
+@given(st.sampled_from(LAWS), SEEDS, st.lists(st.integers(1, 130), min_size=1, max_size=8))
+@example(LAWS[0], 1, [1])
+@example(LAWS[1], 2, [1, 1, 1])
+@example(LAWS[2], 3, [63, 64, 65])
+@example(LAWS[3], 4, [65, 1, 64, 63])
+@settings(max_examples=60, deadline=None)
+def test_chunked_fill_matches_single_draw(d, seed, chunks):
+    """Chunks drawn one at a time from one running generator, as the
+    matrix builders draw each row block, equal one whole-vector draw."""
+    total = sum(chunks)
+    z = np.empty(total)
+    gen = generator(seed)
+    start = 0
+    for length in chunks:
+        dist.fill(d, gen, z[start : start + length])
+        start += length
+    assert np.array_equal(z, _old_draw(d, total, seed))
+    assert np.array_equal(dist.sample(d, total, seed), z)
 
 
 @given(SIZES, st.sampled_from(LAWS), SEEDS)
@@ -131,12 +178,26 @@ def test_sample_sbm_adjacency_matches_masked_fill(n, k, seed):
 @settings(max_examples=30, deadline=None)
 def test_assemble_observation_matches_whole_matrix_form(n, f, c, alpha, seed):
     W = sample_wigner(n, dist.Gaussian(0.0, 1.0), derive_seed(seed, 0))
-    W_before = W.copy()
     x = rademacher_signal(n, derive_seed(seed, 1))
     sp = SpikeParams(c, alpha, n)
-    Y = assemble_observation(W, f, sp, x)
-    assert np.array_equal(W, W_before)
+    buffer = _nan_below(W)
+    Y = assemble_observation(buffer, f, sp, x)
+    assert Y is buffer
     assert np.array_equal(Y, _old_assemble_observation(W, f, sp, x))
+
+
+@given(st.integers(2, 600), st.sampled_from([HE2_HE3, TANH, ABS]), SEEDS)
+@example(256, HE2_HE3, 1)
+@example(257, TANH, 2)
+@example(513, ABS, 3)
+@settings(max_examples=20, deadline=None)
+def test_transform_and_embed_matches_whole_matrix_form(n, f, seed):
+    spec = SbmSpec(n, (n // 2) / n, dist.Gaussian(0.3, 1.0), dist.Uniform(-1.0, 0.4))
+    A = sample_sbm_adjacency(spec, seed)
+    buffer = _nan_below(A)
+    Y = transform_and_embed(buffer, f)
+    assert Y is buffer
+    assert np.array_equal(Y, _old_transform_and_embed(A, f))
 
 
 @given(
@@ -155,9 +216,10 @@ def test_remainder_norm_matches_dense_sum(n, f, c, alpha, seed):
     W = sample_wigner(n, law, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
     sp = SpikeParams(c, alpha, n)
-    report = signal_plus_noise(W, f, sp, x, WignerEnsemble(law))
+    report = signal_plus_noise(_nan_below(W), f, sp, x, WignerEnsemble(law))
     old_noise = apply_elementwise(f, W) / np.sqrt(n)
     Y = _old_assemble_observation(W, f, sp, x)
     Y -= _old_dense_sum(old_noise, report.spikes)
     assert report.remainder_norm == operator_norm(Y)
-    assert np.array_equal(_dense_sum(old_noise, report.spikes), _old_dense_sum(old_noise, report.spikes))
+    expected = _old_dense_sum(old_noise, report.spikes)
+    assert np.array_equal(_dense_sum(old_noise, report.spikes), expected)

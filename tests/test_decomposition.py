@@ -120,12 +120,12 @@ def test_signal_plus_noise_consistency_invariant():
     W = sample_wigner(n, STD_NORMAL, seed=5)
     x = rademacher_signal(n, seed=6)
     sp = SpikeParams(1.2, 0.25, n)
-    report = dc.signal_plus_noise(W, F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
+    report = dc.signal_plus_noise(W.copy(), F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
     # independent recomputation of the remainder from materialized parts
     from nlspike.matrixgen import assemble_observation
     from nlspike.nonlinearity import apply_elementwise
 
-    Y = assemble_observation(W, F_CUBIC, sp, x)
+    Y = assemble_observation(W.copy(), F_CUBIC, sp, x)
     approx = dc._dense_sum(apply_elementwise(F_CUBIC, W) / math.sqrt(n), report.spikes)
     independent = operator_norm(Y - approx)
     assert report.remainder_norm == pytest.approx(independent, abs=1e-10)

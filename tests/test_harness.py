@@ -40,6 +40,16 @@ def signed_cfg(**overrides):
     return raw
 
 
+def sweep_cfg(**overrides):
+    """signed_cfg with overrides, where a None value drops the key."""
+    return {k: v for k, v in signed_cfg(**overrides).items() if v is not None}
+
+
+SBM_RAW = {"experiment": "sbm-sweep", "within": GAUSS_JSON, "across": GAUSS_JSON, "beta": 0.5,
+           "noise": None}
+ESD_RAW = {"experiment": "esd", "model": "wigner", "trials_per_point": None}
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -276,28 +286,36 @@ def test_predict_artifact(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "experiment,trial,budget",
+    "raw,trial",
     [
-        ("signed-sweep", sweeps._signed_trial, 2.5),
-        ("decompose-check", sweeps._decompose_trial, 2.5),
+        ({}, sweeps._signed_trial),
+        ({"experiment": "decompose-check"}, sweeps._decompose_trial),
+        (SBM_RAW, sweeps._sbm_trial),
+        (ESD_RAW, None),
     ],
+    ids=["signed-sweep", "decompose-check", "sbm-sweep", "esd"],
 )
-def test_trial_memory_budget(experiment, trial, budget):
+def test_trial_memory_budget(raw, trial, tmp_path):
     """Peak traced allocation of one n = 1024 trial, in n x n float64
     buffers (numpy reports its allocations to tracemalloc). The whole-matrix
-    builders read 4.0 (signed) and 6.0 (decompose); building the decompose
-    remainder in one buffer, with a copy-free Lanczos norm, took the
-    decompose trial from 4.04 to 2.25."""
+    builders read 4.0 (signed) and 6.0 (decompose); building the remainder
+    in one buffer with a copy-free Lanczos norm took decompose to 2.25, and
+    drawing the noise into the buffer the trial transforms in place took
+    every trial to about 1.2 (sbm-sweep and esd read 3.0 and 2.06 before)."""
     n = 1024
-    cfg = parse_config(signed_cfg(experiment=experiment, n_list=[n], c_grid=[2.6]))
-    trial(cfg, n, 2.6, 0, 123)  # warm-up: caches and lazy imports
+    cfg = parse_config(sweep_cfg(n_list=[n], c_grid=[2.6], **raw))
+
+    def run():
+        return sweeps.run_esd(cfg, tmp_path) if trial is None else trial(cfg, n, 2.6, 0, 123)
+
+    run()  # warm-up: caches and lazy imports
     tracemalloc.start()
     try:
-        trial(cfg, n, 2.6, 0, 123)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= budget
+    assert peak / (8 * n * n) <= 1.5
 
 
 def test_default_threads_follow_usable_cores(monkeypatch):
@@ -363,15 +381,18 @@ def test_fit_transition_midpoint_with_noise():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("experiment", ["signed-sweep", "decompose-check"])
-def test_lanczos_sweeps_are_deterministic(tmp_path, experiment):
+@pytest.mark.parametrize(
+    "raw",
+    [{"experiment": "signed-sweep"}, {"experiment": "decompose-check"}, SBM_RAW, ESD_RAW],
+    ids=["signed-sweep", "decompose-check", "sbm-sweep", "esd"],
+)
+def test_lanczos_sweeps_are_deterministic(tmp_path, raw):
     """n = 600 runs the Lanczos eigensolver, which the small-n determinism
-    tests never reach: CSV bytes agree across sweep thread counts and runs."""
+    tests never reach (esd always solves densely): CSV bytes, and with them
+    the sampled matrices, agree across sweep thread counts and runs."""
     n = 600
     assert n >= spectral._LANCZOS_MIN_N
-    cfg = parse_config(
-        signed_cfg(experiment=experiment, n_list=[n], c_grid=[0.8, 2.6], trials_per_point=2)
-    )
+    cfg = parse_config(sweep_cfg(**{"n_list": [n], "c_grid": [0.8, 2.6], "trials_per_point": 2} | raw))
     csvs = [
         Path(run_experiment(cfg, tmp_path / f"t{i}", threads=threads)["csv"]).read_bytes()
         for i, threads in enumerate((1, 2, 2))
@@ -414,19 +435,30 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
 
-    # abs has no third derivative: CapabilityError
+    # a Rademacher block law cannot be shifted by the separation: CapabilityError
+    rademacher = {"kind": "rademacher", "p": 0.5}
     no_capability = write_cfg(
-        tmp_path,
-        {
-            "experiment": "predict",
-            "c_grid": [1.0],
-            "alpha": "1/3",
-            "f": {"kind": "named", "tag": "abs"},
-            "noise": GAUSS_JSON,
-        },
+        tmp_path, sweep_cfg(**SBM_RAW | {"n_list": [40], "trials_per_point": 1, "within": rademacher})
     )
-    assert cli_main(["predict", "--config", str(no_capability), "--out", str(tmp_path / "o")]) == 2
+    assert cli_main(["sbm-sweep", "--config", str(no_capability), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: cannot shift a Rademacher law by a constant\n"
+
+
+def test_cli_predict_abs_is_sign_unrecoverable(tmp_path, capsys):
+    """Every odd derivative moment of abs vanishes under N(0, 1); the scan
+    stops at abs's one derivative instead of asking for a third."""
+    raw = {
+        "experiment": "predict",
+        "c_grid": [1.0],
+        "alpha": "1/3",
+        "f": {"kind": "named", "tag": "abs"},
+        "noise": GAUSS_JSON,
+    }
+    assert cli_main(["predict", "--config", str(write_cfg(tmp_path, raw)), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
+    (entry,) = json.loads((tmp_path / "o" / "predictions.json").read_text())
+    assert entry["indices"] == {"I_e": 0, "I_o": None}  # the JSON form of I_o = inf
+    assert entry["regime"] == "sign-unrecoverable"
 
 
 def test_cli_convergence_exit_code(tmp_path, capsys):

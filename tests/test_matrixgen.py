@@ -105,11 +105,11 @@ def test_assemble_observation_degenerate_cases():
     n = 30
     W = mg.sample_wigner(n, Gaussian(0, 1), seed=4)
     x = mg.rademacher_signal(n, seed=5)
-    zero_lam = mg.assemble_observation(W, IDENTITY, SpikeParams(0.0, 0.25, n), x)
+    zero_lam = mg.assemble_observation(W.copy(), IDENTITY, SpikeParams(0.0, 0.25, n), x)
     assert np.array_equal(zero_lam, W / math.sqrt(n))
 
     zero_x = SignalVector(np.zeros(n), "custom")
-    noise_only = mg.assemble_observation(W, SQUARE, SpikeParams(3.0, 0.25, n), zero_x)
+    noise_only = mg.assemble_observation(W.copy(), SQUARE, SpikeParams(3.0, 0.25, n), zero_x)
     assert np.array_equal(noise_only, W**2 / math.sqrt(n))
 
 
@@ -126,7 +126,7 @@ def test_identity_f_reproduces_linear_model():
     x = mg.rademacher_signal(n, seed=9)
     for c, alpha in ((0.7, 0.0), (2.0, 0.25), (1.3, 1.0 / 3.0)):
         sp = SpikeParams(c, alpha, n)
-        Y = mg.assemble_observation(W, IDENTITY, sp, x)
+        Y = mg.assemble_observation(W.copy(), IDENTITY, sp, x)
         linear = W / math.sqrt(n) + sp.signal_strength * np.outer(x.entries, x.entries)
         assert np.max(np.abs(Y - linear)) <= 1e-12
 

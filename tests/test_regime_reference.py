@@ -7,7 +7,7 @@ wrote out the alpha-regime verdicts, with `_critical_limits` for the
 critical exponent. Every comparison is `==` on the whole RegimePrediction,
 or the same error type and message, over a grid that reaches every regime
 label, a float alpha that snaps to 1/3, kappa inside the dead zone, and
-abs failing past its first derivative.
+abs read as unrecoverable once its one derivative is scanned.
 """
 
 import itertools
@@ -173,10 +173,13 @@ def test_classifier_matches_per_model_predictions(model, new, old, law_grid):
                 reached.add("at_threshold")
             if isinstance(alpha, float) and got.regime == "critical":
                 reached.add("float-alpha snap")
+            if f == named("abs") and got.regime.endswith("-unrecoverable"):
+                reached.add("abs unrecoverable")
         else:
-            reached.add(got[0].__name__)  # abs past its first derivative
+            reached.add(got[0].__name__)
     expected = {"subcritical", "critical", "supercritical", "at_threshold", "float-alpha snap",
-                "CapabilityError"}
+                "abs unrecoverable"}
+    assert "CapabilityError" not in reached
     if model == "wigner":
         expected.add("sign-unrecoverable")
     else:

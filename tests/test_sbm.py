@@ -20,13 +20,19 @@ ODD_CUBIC = hermite_fn({3: 1.0})
 
 def test_transform_and_embed_examples():
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    out = sbm.transform_and_embed(A, IDENTITY)
+    out = sbm.transform_and_embed(A.copy(), IDENTITY)
     assert np.array_equal(out, A / math.sqrt(2.0))
 
     sq = Polynomial([0.0, 0.0, 1.0])
     out2 = sbm.transform_and_embed(A, sq)
+    assert out2 is A
     assert np.allclose(out2, np.ones((2, 2)) / math.sqrt(2.0), atol=1e-15)
     assert np.array_equal(out2, out2.T)
+
+    # the image is built in the input's buffer, which must be able to hold it
+    for bad in (np.ones((2, 3)), np.ones((2, 2), dtype=int), np.ones((2, 2))[None]):
+        with pytest.raises(ParameterError):
+            sbm.transform_and_embed(bad, IDENTITY)
 
 
 def test_recover_communities_exact_rank_one():
