@@ -132,22 +132,6 @@ class DecompositionReport:
     ell: int
     spikes: tuple[SpikeTerm, ...]
     remainder_norm: float
-    n: int
-    alpha: float
-    c_lambda: float
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": float(self.alpha),
-            "c_lambda": self.c_lambda,
-            "ell": self.ell,
-            "remainder_norm": self.remainder_norm,
-            "spikes": [
-                {"k": t.k, "coefficient": t.coefficient, "direction_kind": t.direction_kind}
-                for t in self.spikes
-            ],
-        }
 
 
 def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) -> np.ndarray:
@@ -230,7 +214,7 @@ def signal_plus_noise(
         B -= noise
 
     remainder = operator_norm(symmetrize_upper(W, step))
-    return DecompositionReport(ell, report_spikes, remainder, n, float(sp.alpha), sp.c_lambda)
+    return DecompositionReport(ell, report_spikes, remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +293,7 @@ def sbm_spike_coefficients(f: NonlinearFn, spec: SbmSpec, sp: SpikeParams) -> Sb
     if abs(gamma_sum) > 1e-12:
         raise ParameterError(
             f"block means must sum to zero (got {gamma_sum:.3e}); "
-            "use SbmSpec.centered_sum() first"
+            "shift both laws by -(gamma + gamma_bar)/2 first"
         )
     ell = ell_of_alpha(sp.alpha)
     n = float(sp.n)

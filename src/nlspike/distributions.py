@@ -224,18 +224,6 @@ def shifted(d: Distribution, delta: float) -> Distribution:
     raise CapabilityError(f"cannot shift a {type(d).__name__} law by a constant")
 
 
-def to_json(d: Distribution) -> dict:
-    if isinstance(d, Gaussian):
-        return {"kind": "gaussian", "mean": d.mean, "std": d.std}
-    if isinstance(d, Rademacher):
-        return {"kind": "rademacher", "p": d.p}
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
-    if isinstance(d, Centered):
-        return {"kind": "centered", "inner": to_json(d.inner)}
-    raise ParameterError(f"not a distribution: {d!r}")
-
-
 def from_json(obj: dict) -> Distribution:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParameterError(f"not a distribution object: {obj!r}")

@@ -116,13 +116,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _ALLOWED_KEYS[experiment]
     if unknown:
         raise ConfigError(f"{experiment}: unknown config keys {sorted(unknown)}")
+    try:
+        kwargs = _coerce(raw, experiment)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{experiment}: malformed config value ({exc})") from exc
+    return ExperimentConfig(experiment=experiment, config_hash=config_hash(raw), raw=raw, **kwargs)
 
+
+def _coerce(raw: dict, experiment: str) -> dict:
+    """ExperimentConfig fields from the JSON values; a value of the wrong
+    type or shape raises TypeError or ValueError."""
     kwargs: dict = {
-        "experiment": experiment,
         "base_seed": int(raw.get("base_seed", 0)),
         "output_dir": str(raw.get("output_dir", ".")),
-        "config_hash": config_hash(raw),
-        "raw": raw,
     }
     if "threads" in raw:
         kwargs["threads"] = int(raw["threads"])
@@ -185,8 +191,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             kwargs["hist_range"] = (lo, hi)
         kwargs["eta"] = float(raw.get("eta", 1e-3))
         kwargs["qve_max_iter"] = int(raw.get("qve_max_iter", 200_000))
-
-    return ExperimentConfig(**kwargs)
+    return kwargs
 
 
 def load_config(path) -> ExperimentConfig:

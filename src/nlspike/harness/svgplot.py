@@ -175,8 +175,6 @@ def emit_plot(csv_path, kind: str, y_column: str | None = None, out_path=None) -
     sweep axis; "histogram-overlay" draws esd bars under the qve curve.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "r"):
-        pass  # surface missing files as I/O errors before parsing
     table = load_table(csv_path)
     if out_path is None:
         suffix = f"_{y_column}" if y_column else ""

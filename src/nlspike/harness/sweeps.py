@@ -70,8 +70,6 @@ def _run_tuples(worker, tuples, threads: int | None):
     if threads is None:
         usable = getattr(os, "sched_getaffinity", None)
         threads = len(usable(0)) if usable else os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     if threads == 1:
         return [worker(i, t) for i, t in enumerate(tuples)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -287,4 +285,7 @@ _RUNNERS = dict.fromkeys(_SWEEPS, run_sweep) | {"esd": run_esd, "predict": run_p
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int | None = None):
     """Dispatch on cfg.experiment; returns the artifact path map."""
     runner = _RUNNERS[cfg.experiment]
-    return runner(cfg, out_dir if out_dir is not None else cfg.output_dir, threads or cfg.threads)
+    threads = cfg.threads if threads is None else threads
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return runner(cfg, out_dir if out_dir is not None else cfg.output_dir, threads)

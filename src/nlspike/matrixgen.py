@@ -71,20 +71,6 @@ class SbmSpec:
     def n_plus(self) -> int:
         return round(self.beta * self.n)
 
-    def delta(self) -> float:
-        """gamma - gamma_bar, the community mean separation."""
-        return dist.mean(self.within) - dist.mean(self.across)
-
-    def centered_sum(self) -> "SbmSpec":
-        """Shift both laws by -(gamma + gamma_bar)/2 so the means sum to zero."""
-        shift = -0.5 * (dist.mean(self.within) + dist.mean(self.across))
-        return SbmSpec(
-            self.n,
-            self.beta,
-            dist.shifted(self.within, shift),
-            dist.shifted(self.across, shift),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SignalVector:

@@ -55,9 +55,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
 
 @dataclass(frozen=True)
 class Named:
@@ -72,14 +69,6 @@ class Named:
 
 
 NonlinearFn = Polynomial | Named
-
-
-def polynomial(coeffs) -> Polynomial:
-    return Polynomial(coeffs)
-
-
-def named(tag: str) -> Named:
-    return Named(tag, 0)
 
 
 @lru_cache(maxsize=None)
@@ -280,27 +269,12 @@ def derivative_moment(f: NonlinearFn, k: int, d: Distribution) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Derivative moments k -> mu_{f^(k)} with the method that produced them."""
-
-    values: dict[int, float]
-    method: str
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
-
-
-def moment_table(f: NonlinearFn, d: Distribution, k_max: int) -> MomentTable:
+def moment_table(f: NonlinearFn, d: Distribution, k_max: int) -> dict[int, float]:
     """Tabulate mu_{f^(k)} for k = 0..k_max.
 
     For polynomial f, entries past the degree are exact zeros.
     """
-    values, methods = {}, set()
-    for k in range(k_max + 1):
-        values[k], _, m = expectation(derivative(f, k), d)
-        methods.add(m)
-    return MomentTable(values, " + ".join(sorted(methods)))
+    return {k: derivative_moment(f, k, d) for k in range(k_max + 1)}
 
 
 def sd_f(f: NonlinearFn, d: Distribution) -> float:
@@ -396,14 +370,6 @@ def signal_constant_index(
     j_s = _scan_index(range(k_hi + 1), combo(1))
     j_c = _scan_index(range(k_hi + 1), combo(0))
     return j_s, j_c
-
-
-def to_json(f: NonlinearFn) -> dict:
-    if isinstance(f, Polynomial):
-        return {"kind": "polynomial", "coeffs": list(f.coeffs)}
-    if f.order != 0:
-        raise CapabilityError("only underived named functions serialize")
-    return {"kind": "named", "tag": f.tag}
 
 
 def from_json(obj: dict) -> NonlinearFn:

@@ -24,7 +24,7 @@ from nlspike.matrixgen import (
     sample_sbm_adjacency,
     sample_wigner,
 )
-from nlspike.nonlinearity import apply_elementwise, hermite_fn, named
+from nlspike.nonlinearity import Named, apply_elementwise, hermite_fn
 from nlspike.rng import derive_seed, generator
 from nlspike.sbm import transform_and_embed
 from nlspike.spectral import operator_norm
@@ -36,8 +36,8 @@ LAWS = [
     dist.Centered(dist.Uniform(0.2, 2.0)),
 ]
 HE2_HE3 = hermite_fn({2: 1.0, 3: 1.0})
-TANH = named("tanh")
-ABS = named("abs")
+TANH = Named("tanh")
+ABS = Named("abs")
 SEEDS = st.integers(0, 2**64 - 1)
 SIZES = st.integers(1, 600)
 

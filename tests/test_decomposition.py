@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nlspike import decomposition as dc
 from nlspike.decomposition import SbmEnsemble, WignerEnsemble, ell_of_alpha
-from nlspike.distributions import Gaussian
+from nlspike.distributions import Gaussian, mean
 from nlspike.errors import ParameterError
 from nlspike.matrixgen import SbmSpec, SpikeParams, rademacher_signal, sample_wigner
 from nlspike.nonlinearity import Polynomial, hermite_fn
@@ -138,9 +138,10 @@ def test_signal_plus_noise_sbm_rank_two():
 
     u, labels = community_signal(n, 0.5)
     A = sample_sbm_adjacency(spec, seed=7)
-    expected_mean = (spec.delta() / 2.0) * np.outer(labels, labels)
+    delta = mean(spec.within) - mean(spec.across)
+    expected_mean = (delta / 2.0) * np.outer(labels, labels)
     W = A - expected_mean
-    lam = spec.delta() * math.sqrt(n) / 2.0
+    lam = delta * math.sqrt(n) / 2.0
     alpha = 0.0
     c = lam  # n^0 = 1
     report = dc.signal_plus_noise(W, F_SBM, SpikeParams(c, alpha, n), u, SbmEnsemble(spec))
@@ -157,17 +158,6 @@ def test_spike_term_norm_equals_abs_coefficient():
     for t in report.spikes:
         if t.coefficient != 0.0:
             assert operator_norm(t.materialize()) == pytest.approx(abs(t.coefficient), rel=1e-10)
-
-
-def test_report_json():
-    n = 24
-    W = sample_wigner(n, STD_NORMAL, seed=10)
-    x = rademacher_signal(n, seed=11)
-    report = dc.signal_plus_noise(W, F_CUBIC, SpikeParams(1.0, 0.0, n), x, WignerEnsemble(STD_NORMAL))
-    blob = report.to_json()
-    assert blob["ell"] == 1
-    assert {s["k"] for s in blob["spikes"]} == {1}
-    assert set(blob["spikes"][0]) == {"k", "coefficient", "direction_kind"}
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,8 @@ def test_json_round_trip_field_names():
             {"kind": "centered", "inner": {"kind": "uniform", "lo": 0.0, "hi": 1.0}},
         ),
     ]
-    for d, expected in cases:
-        assert dist.to_json(d) == expected
-        assert dist.from_json(expected) == d
+    for d, obj in cases:
+        assert dist.from_json(obj) == d
 
 
 def test_from_json_rejects_garbage():

@@ -444,6 +444,53 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot shift a Rademacher law by a constant\n"
 
 
+ESD_CFG = {
+    "experiment": "esd",
+    "n_list": [60],
+    "c_grid": [0.5],
+    "alpha": "1/3",
+    "f": F_JSON,
+    "model": "wigner",
+    "noise": GAUSS_JSON,
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        signed_cfg(c_grid=["x"]),
+        signed_cfg(n_list=5),
+        signed_cfg(trials_per_point="many"),
+        signed_cfg(base_seed="s"),
+        ESD_CFG | {"range": [1]},
+        ESD_CFG | {"bins": "x"},
+    ],
+    ids=["c_grid", "n_list", "trials_per_point", "base_seed", "esd-range", "esd-bins"],
+)
+def test_cli_malformed_value_exits_2(tmp_path, capsys, raw):
+    command = raw["experiment"]
+    capsys.readouterr()
+    assert cli_main([command, "--config", str(write_cfg(tmp_path, raw)), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        signed_cfg(n_list=[40], c_grid=[1.0], trials_per_point=1),
+        {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_JSON, "noise": GAUSS_JSON},
+    ],
+    ids=["signed-sweep", "predict"],
+)
+def test_cli_threads_zero_exits_2(tmp_path, capsys, raw):
+    cfg_path = write_cfg(tmp_path, raw)
+    capsys.readouterr()
+    assert cli_main([raw["experiment"], "--config", str(cfg_path), "--out", str(tmp_path), "--threads", "0"]) == 2
+    assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
+
+
 def test_cli_predict_abs_is_sign_unrecoverable(tmp_path, capsys):
     """Every odd derivative moment of abs vanishes under N(0, 1); the scan
     stops at abs's one derivative instead of asking for a third."""

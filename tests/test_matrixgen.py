@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlspike import matrixgen as mg
-from nlspike.distributions import Gaussian, Rademacher, mean
+from nlspike.distributions import Gaussian, Rademacher
 from nlspike.errors import ParameterError
 from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams
 from nlspike.nonlinearity import Polynomial
@@ -177,10 +177,3 @@ def test_sbm_mean_structure_rank_one():
     _, labels = mg.community_signal(n, 0.5)
     expected = (delta / 2.0) * np.outer(labels, labels)
     assert np.max(np.abs(acc - expected)) <= 5.0 / math.sqrt(reps)
-
-
-def test_centered_sum_convention():
-    spec = SbmSpec(10, 0.5, Gaussian(1.0, 1.0), Gaussian(0.0, 1.0))
-    centered = spec.centered_sum()
-    assert mean(centered.within) + mean(centered.across) == pytest.approx(0.0, abs=1e-12)
-    assert centered.delta() == pytest.approx(spec.delta(), abs=1e-12)

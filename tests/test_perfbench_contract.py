@@ -8,6 +8,7 @@ from pathlib import Path
 import nlspike.harness  # noqa: F401  Tracer.install wraps the harness layers too
 from nlspike import theory
 from nlspike.distributions import Uniform
+from nlspike.harness import parse_config, run_experiment
 from nlspike.nonlinearity import Named
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -34,3 +35,33 @@ def test_tracer_records_moment_spans_without_monte_carlo():
     assert expect and not any(s.error for s in moments)
     assert not any(s.counters.get("monte_carlo") for s in expect)
     assert all("key" in s.counters for s in expect)
+
+
+GAUSS = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
+SWEEP = {"n_list": [40, 80], "c_grid": [0.5, 2.0], "alpha": "1/3", "trials_per_point": 1,
+         "f": {"kind": "polynomial", "coeffs": [-1.0, -3.0, 1.0, 1.0]}}
+
+
+def test_tracer_records_sweep_layers_without_error(tmp_path):
+    """A tiny signed-sweep, decompose-check and sbm-sweep under the tracer."""
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        for raw in (
+            {"experiment": "signed-sweep", "noise": GAUSS},
+            {"experiment": "decompose-check", "noise": GAUSS},
+            {"experiment": "sbm-sweep", "within": GAUSS, "across": GAUSS, "beta": 0.5},
+        ):
+            run_experiment(parse_config(SWEEP | raw), tmp_path / raw["experiment"], threads=1)
+    finally:
+        tracer.uninstall()
+    assert not [s for s in tracer.spans if s.error]
+    layers = {s.layer for s in tracer.spans}
+    assert {
+        "spectral.eig_top",
+        "nonlinearity.apply",
+        "distributions.sample",
+        "decomposition.report",
+        "sbm.trial",
+        "harness.svg",
+    } <= layers

@@ -19,12 +19,12 @@ import pytest
 from nlspike import distributions as dist
 from nlspike.errors import CapabilityError
 from nlspike.nonlinearity import (
+    Named,
+    Polynomial,
     derivative_moment,
     even_odd_index,
     gamma_moment,
     hermite_fn,
-    named,
-    polynomial,
     sd_f,
     sd_f_centered,
     signal_constant_index,
@@ -39,8 +39,8 @@ from nlspike.theory import (
 
 HE2_HE3 = hermite_fn({2: 1.0, 3: 1.0})
 SBM_QUARTIC = hermite_fn({2: 2.25, 3: 1.0, 4: 1.0})
-FUNCTIONS = [HE2_HE3, SBM_QUARTIC, named("tanh"), named("abs"), polynomial([0.0, 1.0]),
-             polynomial([0.0, 0.0, 1.0])]
+FUNCTIONS = [HE2_HE3, SBM_QUARTIC, Named("tanh"), Named("abs"), Polynomial([0.0, 1.0]),
+             Polynomial([0.0, 0.0, 1.0])]
 N01, N_PLUS, N_MINUS = dist.Gaussian(0.0, 1.0), dist.Gaussian(0.6, 1.0), dist.Gaussian(-0.6, 1.0)
 U11, U_SHIFTED, RADEMACHER = dist.Uniform(-1.0, 1.0), dist.Uniform(-0.5, 1.5), dist.Rademacher(0.5)
 LAWS = [N01, N_PLUS, N_MINUS, U11, U_SHIFTED, RADEMACHER]
@@ -173,7 +173,7 @@ def test_classifier_matches_per_model_predictions(model, new, old, law_grid):
                 reached.add("at_threshold")
             if isinstance(alpha, float) and got.regime == "critical":
                 reached.add("float-alpha snap")
-            if f == named("abs") and got.regime.endswith("-unrecoverable"):
+            if f == Named("abs") and got.regime.endswith("-unrecoverable"):
                 reached.add("abs unrecoverable")
         else:
             reached.add(got[0].__name__)

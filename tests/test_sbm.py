@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlspike import sbm
-from nlspike.distributions import Gaussian
+from nlspike.distributions import Gaussian, mean
 from nlspike.errors import ParameterError
 from nlspike.matrixgen import SbmSpec, community_signal, sample_sbm_adjacency
 from nlspike.nonlinearity import Polynomial, hermite_fn
@@ -74,7 +74,7 @@ def test_trial_zero_noise_exact_recovery():
     spec = SbmSpec(8, 0.5, Gaussian(0.5, 0.0), Gaussian(-0.5, 0.0))
     result = sbm.run_sbm_trial(spec, IDENTITY, seed=1)
     assert result.overlap_top == pytest.approx(1.0)
-    assert spec.delta() == pytest.approx(1.0)
+    assert mean(spec.within) - mean(spec.across) == pytest.approx(1.0)
 
 
 def test_trial_no_signal_has_low_overlap():
