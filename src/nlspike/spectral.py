@@ -4,12 +4,14 @@ The extremal eigenpairs behind `sym_eig_top` and `operator_norm` come
 from one Lanczos solver once n >= _LANCZOS_MIN_N: ARPACK's implicitly
 restarted Lanczos (Lehoucq-Sorensen-Yang 1998) from a fixed start vector,
 so results are deterministic, on a matvec that reads M's lower triangle
-(BLAS dsymv, no copy), the triangle LAPACK reads too. Every Lanczos pair
-must pass the residual gate ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F
-(the Frobenius norm bounds the spectral norm from above). When ARPACK
-fails, a pair misses the gate, or n is below the crossover, the dense
-LAPACK solver runs instead, and a dense top-k pair that misses the gate
-raises ConvergenceError. The gate certifies eigenpairs, not that they are
+(BLAS dsymv, no copy), the triangle LAPACK reads too. ARPACK stops at
+the gate's tolerance (a Ritz pair's residual estimate <= RESIDUAL_RTOL
+times its |value|), and the gate still checks every Lanczos pair: each
+must pass ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F (the Frobenius
+norm bounds the spectral norm from above). When ARPACK fails, a pair
+misses the gate, or n is below the crossover, the dense LAPACK solver
+runs instead, and a dense top-k pair that misses the gate raises
+ConvergenceError. The gate certifies eigenpairs, not that they are
 the extremal ones: that rests on Lanczos converging to the ends of the
 spectrum from a start vector with a component along them.
 `esd_histogram` needs the full spectrum and always runs dense.
@@ -31,21 +33,17 @@ from .matrixgen import row_blocks
 from .rng import generator
 
 SYMMETRY_RTOL = 1e-9
-# Residual gate relative to ||M||_F. On the trials' matrices (n 500-2000)
-# dense pairs measured below 1e-16 of it and Lanczos pairs below 5e-14;
-# a vector that is no eigenvector leaves about ||M||_2 >= ||M||_F / sqrt(n).
+# Residual gate relative to ||M||_F, also ARPACK's stopping tolerance. On the
+# trials' matrices (n 500-2000) dense pairs measured below 1e-16 of it and
+# Lanczos pairs below 5e-12; a vector that is no eigenvector leaves about
+# ||M||_2 >= ||M||_F / sqrt(n).
 RESIDUAL_RTOL = 1e-10
 # Smallest n solved by Lanczos: below it dense LAPACK is as fast (measured
 # on signed, decompose-remainder and SBM matrices at BLAS 1 and 2, n 300-800).
 _LANCZOS_MIN_N = 500
 _LANCZOS_NCV = 40  # Lanczos basis size; fewest matvecs of 20/30/40/60 on those matrices
-_LANCZOS_RESTARTS = 100  # about 9x the restarts those matrices need at n = 2000
+_LANCZOS_RESTARTS = 100  # about 14x the restarts (at most 7) those matrices need at n = 2000
 _LANCZOS_SEED = 0x5EED  # seeds the start vector and ARPACK's restart vectors
-# ARPACK tolerance of the norm, relative to each Ritz value. A Ritz value
-# with residual r lies within r (r^2 / gap when isolated) of an eigenvalue,
-# so the norm keeps 1e-12 relative accuracy with a quarter fewer matvecs
-# than tol = 0, which the top-k pairs keep because callers use the vectors.
-_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +100,10 @@ def _residual_bound(M: np.ndarray) -> float:
     return RESIDUAL_RTOL * float(np.linalg.norm(M))
 
 
-def _lanczos(M: np.ndarray, k: int, which: str, tol: float = 0.0):
-    """k extremal pairs of M by ARPACK (`which` and `tol` as in eigsh), as
-    (values ascending, vectors, residuals), or None if ARPACK fails or any
-    pair misses the residual gate."""
+def _lanczos(M: np.ndarray, k: int, which: str):
+    """k extremal pairs of M by ARPACK (`which` as in eigsh), stopped at the
+    gate's tolerance, as (values ascending, vectors, residuals), or None if
+    ARPACK fails or any pair misses the residual gate."""
     # imported here: scipy.sparse costs every `import nlspike` ~34 ms
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -115,7 +113,7 @@ def _lanczos(M: np.ndarray, k: int, which: str, tol: float = 0.0):
     v0 = rng.standard_normal(n)
     try:
         w, v = eigsh(
-            op, k, which=which, v0=v0, ncv=_LANCZOS_NCV, maxiter=_LANCZOS_RESTARTS, tol=tol, rng=rng
+            op, k, which=which, v0=v0, ncv=_LANCZOS_NCV, maxiter=_LANCZOS_RESTARTS, tol=RESIDUAL_RTOL, rng=rng
         )
     except ArpackError:  # ArpackNoConvergence included
         return None
@@ -164,7 +162,7 @@ def operator_norm(M: np.ndarray) -> float:
     n = M.shape[0]
     if n == 0:
         return 0.0
-    found = _lanczos(M, 2, "BE", _NORM_TOL) if n >= _LANCZOS_MIN_N else None
+    found = _lanczos(M, 2, "BE") if n >= _LANCZOS_MIN_N else None
     w = found[0] if found is not None else eigvalsh(M, check_finite=False)
     return float(max(abs(w[0]), abs(w[-1])))
 

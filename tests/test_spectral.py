@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,23 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from nlspike import decomposition
 from nlspike import spectral as sp
 from nlspike.distributions import Gaussian
 from nlspike.errors import ContractError, ConvergenceError, ParameterError
-from nlspike.matrixgen import sample_wigner
+from nlspike.matrixgen import (
+    SpikeParams,
+    assemble_observation,
+    rademacher_signal,
+    sample_wigner,
+    wigner_upper,
+)
+from nlspike.nonlinearity import hermite_fn
+from nlspike.rng import derive_seed
 from nlspike.theory import semicircle_density
+
+
+HE2_HE3 = hermite_fn({2: 1.0, 3: 1.0})  # the signed sweep's f
 
 
 def power_iteration_norm(M, iterations=10_000, seed=0):
@@ -271,7 +284,7 @@ def test_lanczos_top_k_matches_dense(n, kind, seed, k, shift):
 @settings(max_examples=12, deadline=None)
 def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
     M = _matrix(kind, n, seed, shift)
-    found = sp._lanczos(M, 2, "BE", sp._NORM_TOL)
+    found = sp._lanczos(M, 2, "BE")
     assert found is not None
     w, v, residuals = found
     w_all, v_all = eigh(M)
@@ -279,6 +292,41 @@ def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
     _assert_matches_dense(w, v, residuals, M, w_all[ends], v_all[:, ends])
     dense = max(abs(w_all[0]), abs(w_all[-1]))
     assert abs(sp.operator_norm(M) - dense) <= 1e-10 * dense
+
+
+TRIAL_N = 600  # above the crossover, so the trials' matrices take the Lanczos path
+
+
+@pytest.mark.parametrize("c", [0.8, 2.6, 5.0])
+def test_lanczos_on_signed_trial_matrices(c):
+    # bulk-edge (0.8) and detached (2.6, 5.0) top pairs of the signed sweep's He2+He3 observation
+    seed = int(10 * c)
+    W = wigner_upper(TRIAL_N, Gaussian(0, 1), derive_seed(seed, 0))
+    x = rademacher_signal(TRIAL_N, derive_seed(seed, 1))
+    M = assemble_observation(W, HE2_HE3, SpikeParams(c, Fraction(1, 4), TRIAL_N), x)
+    assert sp._lanczos(M, 2, "LA") is not None  # every pair passes the gate: no dense fallback
+    w_ref, v_ref = _dense_top(M, 2)
+    pairs = sp.sym_eig_top(M, 2)
+    _assert_matches_dense(pairs.values, pairs.vectors, pairs.residuals, M, w_ref, v_ref)
+
+
+def test_lanczos_norm_of_a_decomposition_remainder(monkeypatch):
+    remainders = []
+
+    def keep_remainder(M):
+        remainders.append(M.copy())
+        return sp.operator_norm(M)
+
+    monkeypatch.setattr(decomposition, "operator_norm", keep_remainder)
+    law = Gaussian(0, 1)
+    W = wigner_upper(TRIAL_N, law, derive_seed(7, 0))
+    x = rademacher_signal(TRIAL_N, derive_seed(7, 1))
+    params, ensemble = SpikeParams(1.0, 0.25, TRIAL_N), decomposition.WignerEnsemble(law)
+    report = decomposition.signal_plus_noise(W, HE2_HE3, params, x, ensemble)
+    assert sp._lanczos(remainders[0], 2, "BE") is not None
+    w_all = eigvalsh(remainders[0])
+    dense = max(-w_all[0], w_all[-1])
+    assert abs(report.remainder_norm - dense) <= 1e-10 * dense
 
 
 def test_operator_norm_finds_the_clustered_end():
