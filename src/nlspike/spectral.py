@@ -16,6 +16,16 @@ the extremal ones: that rests on Lanczos converging to the ends of the
 spectrum from a start vector with a component along them.
 `esd_histogram` needs the full spectrum and always runs dense.
 
+The gate's norms (`dnrm2`) and the matvec (`dsymv`) both call scipy's
+BLAS. numpy loads an OpenBLAS of its own, with its own pool of worker
+threads, and a threaded numpy call on n x n data (`np.linalg.norm(M)` is
+a `ddot` over all n^2 entries) leaves that pool's workers spinning after
+it returns, where they compete with scipy's `dsymv` workers and the next
+trial's draw for the cores. So no n x n-sized numpy BLAS call may sit on
+the trial path. numpy's vector-sized calls (`alignment`, the spike norms
+of `decomposition`) may: OpenBLAS runs a ddot of at most 10^4 entries on
+one thread.
+
 Eigenvector signs are fixed deterministically: the entry of largest
 magnitude (lowest index on ties) is made positive.
 """
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import dnrm2, dsymv
 
 from .errors import ContractError, ConvergenceError, ParameterError
 from .matrixgen import row_blocks
@@ -93,11 +103,14 @@ def _matvec(M: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _residuals(M: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(_matvec(M, v[:, j]) - w[j] * v[:, j]) for j in range(len(w))])
+    return np.array([dnrm2(_matvec(M, v[:, j]) - w[j] * v[:, j]) for j in range(len(w))])
 
 
 def _residual_bound(M: np.ndarray) -> float:
-    return RESIDUAL_RTOL * float(np.linalg.norm(M))
+    # ||M||_F in scipy's BLAS, the matvec's, not numpy's (see the module
+    # docstring). dnrm2 scales its sum of squares, so entries beyond about
+    # 1e154 cannot overflow the bound to inf, which would pass any pair.
+    return RESIDUAL_RTOL * dnrm2(M.ravel(order="K"))
 
 
 def _lanczos(M: np.ndarray, k: int, which: str):

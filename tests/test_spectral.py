@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -297,20 +298,16 @@ def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
 TRIAL_N = 600  # above the crossover, so the trials' matrices take the Lanczos path
 
 
-@pytest.mark.parametrize("c", [0.8, 2.6, 5.0])
-def test_lanczos_on_signed_trial_matrices(c):
-    # bulk-edge (0.8) and detached (2.6, 5.0) top pairs of the signed sweep's He2+He3 observation
-    seed = int(10 * c)
-    W = wigner_upper(TRIAL_N, Gaussian(0, 1), derive_seed(seed, 0))
-    x = rademacher_signal(TRIAL_N, derive_seed(seed, 1))
-    M = assemble_observation(W, HE2_HE3, SpikeParams(c, Fraction(1, 4), TRIAL_N), x)
-    assert sp._lanczos(M, 2, "LA") is not None  # every pair passes the gate: no dense fallback
-    w_ref, v_ref = _dense_top(M, 2)
-    pairs = sp.sym_eig_top(M, 2)
-    _assert_matches_dense(pairs.values, pairs.vectors, pairs.residuals, M, w_ref, v_ref)
+def _signed_trial_matrix(n, c, seed):
+    """The signed sweep's He2+He3 observation, built as its trials build it."""
+    W = wigner_upper(n, Gaussian(0, 1), derive_seed(seed, 0))
+    x = rademacher_signal(n, derive_seed(seed, 1))
+    return assemble_observation(W, HE2_HE3, SpikeParams(c, Fraction(1, 4), n), x)
 
 
-def test_lanczos_norm_of_a_decomposition_remainder(monkeypatch):
+def _decomposition_remainder(monkeypatch, n, seed):
+    """The decompose-check remainder at c = 1, captured on its way to
+    operator_norm, and the remainder norm the decomposition reported."""
     remainders = []
 
     def keep_remainder(M):
@@ -319,14 +316,29 @@ def test_lanczos_norm_of_a_decomposition_remainder(monkeypatch):
 
     monkeypatch.setattr(decomposition, "operator_norm", keep_remainder)
     law = Gaussian(0, 1)
-    W = wigner_upper(TRIAL_N, law, derive_seed(7, 0))
-    x = rademacher_signal(TRIAL_N, derive_seed(7, 1))
-    params, ensemble = SpikeParams(1.0, 0.25, TRIAL_N), decomposition.WignerEnsemble(law)
+    W = wigner_upper(n, law, derive_seed(seed, 0))
+    x = rademacher_signal(n, derive_seed(seed, 1))
+    params, ensemble = SpikeParams(1.0, 0.25, n), decomposition.WignerEnsemble(law)
     report = decomposition.signal_plus_noise(W, HE2_HE3, params, x, ensemble)
-    assert sp._lanczos(remainders[0], 2, "BE") is not None
-    w_all = eigvalsh(remainders[0])
+    return remainders[0], report.remainder_norm
+
+
+@pytest.mark.parametrize("c", [0.8, 2.6, 5.0])
+def test_lanczos_on_signed_trial_matrices(c):
+    # bulk-edge (0.8) and detached (2.6, 5.0) top pairs of the signed sweep's He2+He3 observation
+    M = _signed_trial_matrix(TRIAL_N, c, int(10 * c))
+    assert sp._lanczos(M, 2, "LA") is not None  # every pair passes the gate: no dense fallback
+    w_ref, v_ref = _dense_top(M, 2)
+    pairs = sp.sym_eig_top(M, 2)
+    _assert_matches_dense(pairs.values, pairs.vectors, pairs.residuals, M, w_ref, v_ref)
+
+
+def test_lanczos_norm_of_a_decomposition_remainder(monkeypatch):
+    remainder, remainder_norm = _decomposition_remainder(monkeypatch, TRIAL_N, 7)
+    assert sp._lanczos(remainder, 2, "BE") is not None
+    w_all = eigvalsh(remainder)
     dense = max(-w_all[0], w_all[-1])
-    assert abs(report.remainder_norm - dense) <= 1e-10 * dense
+    assert abs(remainder_norm - dense) <= 1e-10 * dense
 
 
 def test_operator_norm_finds_the_clustered_end():
@@ -363,6 +375,58 @@ def test_lanczos_zero_and_rank_one_above_crossover():
         assert np.all(pairs.residuals <= sp.RESIDUAL_RTOL * 3.0)
         if coefficient > 0.0:
             assert abs(pairs.vectors[:, 0] @ u) >= 1.0 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the gate's norms
+# ---------------------------------------------------------------------------
+
+
+def test_gate_takes_no_matrix_sized_numpy_norm(monkeypatch):
+    # numpy's norm of an n x n matrix is a threaded ddot in numpy's own
+    # OpenBLAS pool, whose workers then spin beside scipy's dsymv workers;
+    # the gate's norms must run in scipy's BLAS, the matvec's
+    Y = _signed_trial_matrix(TRIAL_N, 2.6, 26)
+    Y_dense = _signed_trial_matrix(300, 2.6, 26)  # below the crossover: dense eigh
+    numpy_norm = np.linalg.norm
+    sizes = []
+
+    def recording_norm(x, *args, **kwargs):
+        sizes.append((np.size(x), np.shape(x)))
+        return numpy_norm(x, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "norm", recording_norm)
+        sp.sym_eig_top(Y, 2)
+        too_big = [s for s in sizes if s[0] > TRIAL_N]
+        sizes.clear()
+        sp.sym_eig_top(Y_dense, 2)
+        too_big += [s for s in sizes if s[0] > 300]
+        sizes.clear()
+        remainder, _ = _decomposition_remainder(m, TRIAL_N, 7)  # the decomposition's own norms too
+        sp.operator_norm(remainder)
+        too_big += [s for s in sizes if s[0] > TRIAL_N]
+    assert too_big == []
+    for M in (Y, Y_dense, remainder):
+        bound = sp.RESIDUAL_RTOL * numpy_norm(M)
+        assert abs(sp._residual_bound(M) - bound) <= 1e-14 * bound
+
+
+def test_gate_holds_on_entries_whose_squares_overflow():
+    # entries near 1e160: an unscaled sum of their squares overflows, which
+    # would make the gate's bound inf, passing any pair
+    A = _signed_trial_matrix(TRIAL_N, 2.6, 26)
+    pairs, norm = sp.sym_eig_top(A, 2), sp.operator_norm(A)
+    scale = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = A * scale
+        assert np.isfinite(sp._residual_bound(big))
+        big_pairs = sp.sym_eig_top(big, 2)
+        big_norm = sp.operator_norm(big)
+    assert np.all(np.abs(big_pairs.values - scale * pairs.values) <= 1e-12 * scale * np.abs(pairs.values))
+    assert abs(big_norm - scale * norm) <= 1e-12 * scale * norm
+    assert np.all(np.isfinite(big_pairs.residuals))
 
 
 # ---------------------------------------------------------------------------
