@@ -50,10 +50,8 @@ from .decomposition import (
     SpikeTerm,
     WignerEnsemble,
     ell_of_alpha,
-    expected_derivative_matrix,
-    sbm_spike_coefficients,
     signal_plus_noise,
-    wigner_spike_coefficients,
+    spike_coefficients,
 )
 from .theory import (
     QveSolution,

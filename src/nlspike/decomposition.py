@@ -6,10 +6,12 @@ noise image f(W)/sqrt(n) plus Taylor spike terms
     H_k = (lambda^k n^{(k-1)/2} / k!) (E f^(k)(W)) o (x^ok x^ok^T),
 
 for k = 1..ell(alpha), where ell is the order dictated by the strength
-exponent alpha. For the supported ensembles E f^(k)(W) has rank <= 2
-(constant for i.i.d. noise, two-block for the SBM), so every H_k splits
-into at most two rank-one terms stored in factored (coefficient,
-direction) form.
+exponent alpha. The signal must be +-1/sqrt(n) (Rademacher-normalized or a
+community vector), so x^ok lies on the constant direction for even k and
+on x for odd k, and E f^(k)(W) has rank <= 2 (constant for i.i.d. noise,
+two-block for the SBM). Every H_k therefore splits into at most two
+rank-one terms on the unit directions 1/sqrt(n) and x, and one table,
+spike_coefficients, gives their weights for k = 0..ell.
 """
 
 from __future__ import annotations
@@ -24,28 +26,33 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
-from .matrixgen import (
-    SbmSpec,
-    SignalVector,
-    SpikeParams,
-    community_signal,
-    image_step,
-    symmetrize_upper,
-)
+from .matrixgen import SbmSpec, SignalVector, SpikeParams, image_step, symmetrize_upper
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
 
+# Float alphas within this distance of a boundary (k-1)/(2k) snap onto it.
+ALPHA_SNAP = Fraction(1, 10**12)
 
-def _as_fraction(alpha) -> Fraction:
+
+def alpha_fraction(alpha) -> Fraction:
+    """alpha as an exact Fraction in [0, 1/2).
+
+    The boundaries (k-1)/(2k) are both the Taylor-order interval ends and
+    the critical exponents (I-1)/(2I), so a float alpha within ALPHA_SNAP
+    of one (e.g. 1.0/3.0) is taken to be that rational.
+    """
     try:
         a = Fraction(alpha)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"alpha must be a real number or Fraction, got {alpha!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"alpha must be a finite real number, got {alpha!r}") from exc
+    if not (0 <= a < Fraction(1, 2)):
+        raise ParameterError(f"alpha must lie in [0, 0.5), got {alpha}")
+    if isinstance(alpha, float):
+        k = round(1 / (1 - 2 * a))  # the boundary nearest to alpha
+        boundary = Fraction(k - 1, 2 * k)
+        if abs(a - boundary) <= ALPHA_SNAP:
+            return boundary
     return a
-
-
-# Float alphas within this distance of a rational boundary snap onto it.
-ALPHA_SNAP = Fraction(1, 10**12)
 
 
 def ell_of_alpha(alpha) -> int:
@@ -55,23 +62,10 @@ def ell_of_alpha(alpha) -> int:
     ell/(2 ell + 2); equivalently the smallest integer strictly greater
     than 2 alpha / (1 - 2 alpha). The right end of each interval equals
     the left end of the next, so the intervals tile [0, 1/2) and every
-    alpha in it has an order.
-
-    Exact rational arithmetic is used throughout. Float inputs within
-    ALPHA_SNAP (1e-12) of an interval boundary (a rational
-    (ell-1)/(2 ell)) are snapped to that boundary so that e.g. alpha=1/3
-    classifies on the closed left end it represents.
+    alpha in it has an order. alpha is read by alpha_fraction.
     """
-    a = _as_fraction(alpha)
-    if not (0 <= a < Fraction(1, 2)):
-        raise ParameterError(f"alpha must lie in [0, 1/2), got {alpha}")
-    t = 2 * a / (1 - 2 * a)
-    ell = math.floor(t) + 1
-    if isinstance(alpha, float):
-        upper = Fraction(ell, 2 * ell + 2)  # left end of the (ell+1)-interval
-        if abs(a - upper) <= ALPHA_SNAP:
-            ell += 1
-    return ell
+    a = alpha_fraction(alpha)
+    return math.floor(2 * a / (1 - 2 * a)) + 1
 
 
 @dataclass(frozen=True)
@@ -91,27 +85,47 @@ class SbmEnsemble:
 Ensemble = WignerEnsemble | SbmEnsemble
 
 
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """E f^(k)(W) = ones * 11^T + community * uu^T."""
+class SpikeRow(NamedTuple):
+    """Order-k spike weights on the unit constant direction and on the signal."""
 
+    k: int
     ones: float
-    community: float
+    signal: float
 
 
-def expected_derivative_matrix(f: NonlinearFn, k: int, ensemble: Ensemble) -> BlockCoefficients:
-    """Structured form of E f^(k)(W) for the ensemble.
+def spike_coefficients(f: NonlinearFn, sp: SpikeParams, ensemble: Ensemble) -> tuple[SpikeRow, ...]:
+    """Rows k = 0..ell(alpha) of the spike weights for a +-1/sqrt(n) signal.
 
-    For i.i.d. noise every entry has the same expectation mu_{f^(k)}, so
-    the community coefficient is 0. For the SBM the centered noise has
-    entries D - gamma on-block and Dbar - gamma_bar off-block, giving the
-    half-sum on 11^T and the half-difference on uu^T.
+    Order k weighs c^k n^{(alpha-1/2)k + 1/2} / k!, which is
+    lambda^k n^{(k-1)/2} / k! times ||x^ok||^2. Under i.i.d. noise it
+    multiplies mu_{f^(k)} on the parity direction (constant for even k,
+    signal for odd k). Under the block model, whose centered noise has
+    entries D - gamma on-block and Dbar - gamma_bar off-block, it
+    multiplies the half-sum (gamma_k + gammabar_k)/2 on the parity
+    direction and the half-difference on the other one. The ones column
+    sums to kappa_1 (kappa_c for the SBM), the signal column to kappa_2
+    (kappa_s).
     """
-    if isinstance(ensemble, WignerEnsemble):
-        return BlockCoefficients(derivative_moment(f, k, ensemble.entry_distribution), 0.0)
-    g = gamma_moment(f, k, ensemble.spec.within)
-    gb = gamma_moment(f, k, ensemble.spec.across)
-    return BlockCoefficients(0.5 * (g + gb), 0.5 * (g - gb))
+    if isinstance(ensemble, SbmEnsemble):
+        spec = ensemble.spec
+        gamma_sum = dist.mean(spec.within) + dist.mean(spec.across)
+        if abs(gamma_sum) > 1e-12:
+            raise ParameterError(
+                f"block means must sum to zero (got {gamma_sum:.3e}); "
+                "shift both laws by -(gamma + gamma_bar)/2 first"
+            )
+    n, alpha = float(sp.n), float(sp.alpha)
+    rows = []
+    for k in range(ell_of_alpha(sp.alpha) + 1):
+        weight = sp.c_lambda**k * n ** ((alpha - 0.5) * k + 0.5) / math.factorial(k)
+        if isinstance(ensemble, WignerEnsemble):
+            parity, other = weight * derivative_moment(f, k, ensemble.entry_distribution), 0.0
+        else:
+            g = gamma_moment(f, k, spec.within)
+            gb = gamma_moment(f, k, spec.across)
+            parity, other = 0.5 * weight * (g + gb), 0.5 * weight * (g - gb)
+        rows.append(SpikeRow(k, parity, other) if k % 2 == 0 else SpikeRow(k, other, parity))
+    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +135,7 @@ class SpikeTerm:
     k: int
     coefficient: float
     direction: np.ndarray
-    direction_kind: str  # ones | signal | hadamard
-
-    def materialize(self) -> np.ndarray:
-        return self.coefficient * np.outer(self.direction, self.direction)
+    direction_kind: str  # ones | signal
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +154,6 @@ def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) ->
     return noise
 
 
-def _direction_kind(x: SignalVector, parity_flip: int, k: int) -> str:
-    """Resolve x^ok (plus an optional extra sign flip) for +-1/sqrt(n) signals."""
-    if x.kind in ("rademacher-normalized", "community"):
-        return "ones" if (k + parity_flip) % 2 == 0 else "signal"
-    return "hadamard"
-
-
 def signal_plus_noise(
     W: np.ndarray,
     f: NonlinearFn,
@@ -163,153 +167,31 @@ def signal_plus_noise(
     becomes the observation, then subtracted from it. W is consumed, and
     only its upper triangle is read.
 
-    The ensemble must describe how W was sampled; that consistency is the
-    caller's responsibility.
+    Each order k >= 1 gives one term on its parity direction under i.i.d.
+    noise, and under the block model that term and one on the other
+    direction. The ensemble must describe how W was sampled; that
+    consistency is the caller's responsibility.
     """
     n = sp.n
     if W.shape != (n, n) or x.n != n:
         raise ParameterError(f"dimension mismatch: W {W.shape}, x {x.n}, params n={n}")
-    ell = ell_of_alpha(sp.alpha)
-    lam = sp.signal_strength
-
-    labels = None
-    if isinstance(ensemble, SbmEnsemble):
-        _, labels = community_signal(ensemble.spec.n, ensemble.spec.beta)
-
-    spikes: list[SpikeTerm] = []
-    for k in range(1, ell + 1):
-        bc = expected_derivative_matrix(f, k, ensemble)
-        scale = lam**k * float(n) ** ((k - 1) / 2.0) / math.factorial(k)
-        xk = x.hadamard_power(k)
-        norm_xk = np.linalg.norm(xk)
-        if norm_xk > 0.0:
-            spikes.append(
-                SpikeTerm(
-                    k,
-                    scale * bc.ones * norm_xk**2,
-                    xk / norm_xk,
-                    _direction_kind(x, 0, k),
-                )
-            )
-        if labels is not None:
-            v = labels * xk
-            norm_v = np.linalg.norm(v)
-            if norm_v > 0.0:
-                spikes.append(
-                    SpikeTerm(
-                        k,
-                        scale * bc.community * norm_v**2,
-                        v / norm_v,
-                        _direction_kind(x, 1, k),
-                    )
-                )
-
-    report_spikes = tuple(spikes)
-    observe = image_step(f, n, x.entries, lam)
+    if x.kind not in ("rademacher-normalized", "community"):
+        raise ParameterError(f"the decomposition needs a +-1/sqrt(n) signal, got kind {x.kind!r}")
+    rows = spike_coefficients(f, sp, ensemble)
+    directions = {"ones": np.full(n, 1.0 / np.sqrt(n)), "signal": x.entries}
+    per_order = 1 if isinstance(ensemble, WignerEnsemble) else 2  # i.i.d.: parity only
+    spikes = tuple(
+        SpikeTerm(row.k, getattr(row, kind), directions[kind], kind)
+        for row in rows[1:]
+        for kind in (("ones", "signal") if row.k % 2 == 0 else ("signal", "ones"))[:per_order]
+    )
+    observe = image_step(f, n, x.entries, sp.signal_strength)
     root_n = np.sqrt(n)
 
     def step(lo: int, hi: int, B: np.ndarray) -> None:
-        noise = _dense_sum(apply_elementwise(f, B) / root_n, report_spikes, lo)
+        noise = _dense_sum(apply_elementwise(f, B) / root_n, spikes, lo)
         observe(lo, hi, B)
         B -= noise
 
     remainder = operator_norm(symmetrize_upper(W, step))
-    return DecompositionReport(ell, report_spikes, remainder)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form spike aggregates for +-1/sqrt(n) signals
-# ---------------------------------------------------------------------------
-
-
-class WignerSpikeTermValue(NamedTuple):
-    k: int
-    coefficient: float
-    direction_kind: str  # ones | zeta
-
-
-@dataclass(frozen=True)
-class WignerSpikeCoefficients:
-    """Finite-n aggregates multiplying the unit-norm zeta and ones directions.
-
-    Each per-k coefficient is c^k n^{(alpha-1/2)k + 1/2} mu_{f^(k)} / k!;
-    odd k accumulates on zeta zeta^T (total kappa_2), even k (k = 0
-    included) on ones ones^T (total kappa_1).
-    """
-
-    terms: tuple[WignerSpikeTermValue, ...]
-    ones_total: float
-    zeta_total: float
-
-
-def wigner_spike_coefficients(
-    f: NonlinearFn, d: Distribution, sp: SpikeParams
-) -> WignerSpikeCoefficients:
-    """Aggregate spike strengths for a Rademacher-normalized signal."""
-    ell = ell_of_alpha(sp.alpha)
-    n = float(sp.n)
-    terms = []
-    ones_total = zeta_total = 0.0
-    for k in range(ell + 1):
-        mu = derivative_moment(f, k, d)
-        coeff = (
-            sp.c_lambda**k
-            * n ** ((float(sp.alpha) - 0.5) * k + 0.5)
-            * mu
-            / math.factorial(k)
-        )
-        kind = "ones" if k % 2 == 0 else "zeta"
-        terms.append(WignerSpikeTermValue(k, coeff, kind))
-        if k % 2 == 0:
-            ones_total += coeff
-        else:
-            zeta_total += coeff
-    return WignerSpikeCoefficients(tuple(terms), ones_total, zeta_total)
-
-
-class SbmSpikeTermValue(NamedTuple):
-    k: int
-    ones_coefficient: float
-    community_coefficient: float
-
-
-@dataclass(frozen=True)
-class SbmSpikeCoefficients:
-    """Finite-n aggregates on the unit-norm ones and community directions.
-
-    Per k, the base weight c^k n^{(alpha-1/2)k + 1/2} / (2 k!) multiplies
-    gamma_k + (-1)^k gammabar_k on ones (total kappa_c) and
-    gamma_k + (-1)^{k+1} gammabar_k on the community direction (total
-    kappa_s), which is the parity resolution of u^ok / u^o(k+1).
-    """
-
-    terms: tuple[SbmSpikeTermValue, ...]
-    constant_total: float  # kappa_c
-    signal_total: float  # kappa_s
-
-
-def sbm_spike_coefficients(f: NonlinearFn, spec: SbmSpec, sp: SpikeParams) -> SbmSpikeCoefficients:
-    gamma_sum = dist.mean(spec.within) + dist.mean(spec.across)
-    if abs(gamma_sum) > 1e-12:
-        raise ParameterError(
-            f"block means must sum to zero (got {gamma_sum:.3e}); "
-            "shift both laws by -(gamma + gamma_bar)/2 first"
-        )
-    ell = ell_of_alpha(sp.alpha)
-    n = float(sp.n)
-    terms = []
-    kappa_c = kappa_s = 0.0
-    for k in range(ell + 1):
-        g = gamma_moment(f, k, spec.within)
-        gb = gamma_moment(f, k, spec.across)
-        base = (
-            sp.c_lambda**k
-            * n ** ((float(sp.alpha) - 0.5) * k + 0.5)
-            / (2.0 * math.factorial(k))
-        )
-        ones_coeff = base * (g + (-1.0) ** k * gb)
-        comm_coeff = base * (g + (-1.0) ** (k + 1) * gb)
-        terms.append(SbmSpikeTermValue(k, ones_coeff, comm_coeff))
-        kappa_c += ones_coeff
-        kappa_s += comm_coeff
-    return SbmSpikeCoefficients(tuple(terms), kappa_c, kappa_s)
+    return DecompositionReport(rows[-1].k, spikes, remainder)

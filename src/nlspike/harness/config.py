@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .. import distributions as dist
 from .. import nonlinearity as nlfn
+from ..decomposition import alpha_fraction
 from ..distributions import Distribution
 from ..errors import ConfigError
 from ..nonlinearity import NonlinearFn
@@ -72,14 +73,19 @@ class ExperimentConfig:
 
 
 def _parse_alpha(value) -> float | Fraction:
+    """alpha as written, a float or an exact 'p/q' Fraction; alpha_fraction
+    rejects a non-finite value or one outside [0, 1/2) with a ValueError."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            alpha = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse alpha {value!r} as a fraction") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"alpha must be a number or 'p/q' string, got {value!r}")
+    elif isinstance(value, (int, float)):
+        alpha = float(value)
+    else:
+        raise ConfigError(f"alpha must be a number or 'p/q' string, got {value!r}")
+    alpha_fraction(alpha)
+    return alpha
 
 
 def _require(obj: dict, key: str, experiment: str):

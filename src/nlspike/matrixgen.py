@@ -88,9 +88,6 @@ class SignalVector:
     def n(self) -> int:
         return len(self.entries)
 
-    def hadamard_power(self, k: int) -> np.ndarray:
-        return self.entries**k
-
 
 def rademacher_signal(n: int, seed: int) -> SignalVector:
     """x = zeta / sqrt(n) with i.i.d. +-1 entries; ||x|| = 1 exactly."""

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decomposition import ALPHA_SNAP
+from .decomposition import alpha_fraction
 from .distributions import Distribution
 from .errors import ConvergenceError, ParameterError
 from .nonlinearity import (
@@ -123,14 +123,9 @@ class RegimePrediction:
 
 
 def _compare_alpha(alpha, threshold: Fraction) -> int:
-    """-1/0/+1 for alpha below/at/above threshold; float alpha snaps
-    to the exact rational within ALPHA_SNAP."""
-    a = Fraction(alpha)
-    if isinstance(alpha, float) and abs(a - threshold) <= ALPHA_SNAP:
-        return 0
-    if a < threshold:
-        return -1
-    return 0 if a == threshold else 1
+    """-1/0/+1 for alpha, read by alpha_fraction, below/at/above threshold."""
+    a = alpha_fraction(alpha)
+    return (a > threshold) - (a < threshold)
 
 
 def _classify(

@@ -97,7 +97,7 @@ def _old_transform_and_embed(A, f):
 def _old_dense_sum(noise_part, spikes):
     out = noise_part.copy()
     for term in spikes:
-        out += term.materialize()
+        out += term.coefficient * np.outer(term.direction, term.direction)
     return out
 
 

@@ -10,9 +10,18 @@ from nlspike import decomposition as dc
 from nlspike.decomposition import SbmEnsemble, WignerEnsemble, ell_of_alpha
 from nlspike.distributions import Gaussian, mean
 from nlspike.errors import ParameterError
-from nlspike.matrixgen import SbmSpec, SpikeParams, rademacher_signal, sample_wigner
-from nlspike.nonlinearity import Polynomial, hermite_fn
+from nlspike.matrixgen import (
+    SbmSpec,
+    SignalVector,
+    SpikeParams,
+    community_signal,
+    rademacher_signal,
+    sample_sbm_adjacency,
+    sample_wigner,
+)
+from nlspike.nonlinearity import Polynomial, derivative_moment, gamma_moment, hermite_fn
 from nlspike.spectral import operator_norm
+from nlspike.theory import _classify
 
 F_CUBIC = Polynomial([-1.0, -3.0, 1.0, 1.0])  # He_2 + He_3
 F_SBM = hermite_fn({2: 2.25, 3: 1.0, 4: 1.0})
@@ -52,35 +61,64 @@ def test_intervals_tile_half_line():
         assert Fraction(ell, 2 * ell + 2) == Fraction((ell + 1) - 1, 2 * (ell + 1))
 
 
+@pytest.mark.parametrize("boundary", [Fraction(1, 4), Fraction(1, 3), Fraction(3, 8)])
+@pytest.mark.parametrize("offset", [5e-13, -5e-13, -5e-12])
+def test_float_alpha_near_a_boundary_reads_as_its_fraction(boundary, offset):
+    """Taylor order and regime agree on one alpha rule: a float within
+    1e-12 of a boundary (k-1)/(2k), which is also the critical exponent
+    (I-1)/(2I) for I = k, is that boundary; a float further off is itself."""
+    alpha = float(boundary) + offset
+    snapped = abs(offset) < 1e-12
+    exact = boundary if snapped else Fraction(alpha)
+    index = int(1 / (1 - 2 * boundary))  # 2, 3, 4
+
+    def regime(a):
+        return _classify("sbm", index, 2.0, 1.0, a, 1, {}).regime
+
+    assert ell_of_alpha(alpha) == ell_of_alpha(exact) == (index if snapped else index - 1)
+    assert regime(alpha) == regime(exact) == ("critical" if snapped else "subcritical")
+
+
 # ---------------------------------------------------------------------------
-# expected_derivative_matrix
+# spike_coefficients: the rows resolve E f^(k)(W) onto the two directions
 # ---------------------------------------------------------------------------
+
+
+def _weight(sp, k):
+    """c^k n^((alpha - 1/2) k + 1/2) / k!, the order-k weight of every row."""
+    return sp.c_lambda**k * sp.n ** ((float(sp.alpha) - 0.5) * k + 0.5) / math.factorial(k)
 
 
 def test_expected_derivative_matrix_wigner():
-    bc = dc.expected_derivative_matrix(F_CUBIC, 2, WignerEnsemble(STD_NORMAL))
-    assert bc.ones == pytest.approx(2.0)  # E(6Z + 2) = 2
-    assert bc.community == 0.0
+    sp = SpikeParams(1.3, 0.25, 50)
+    rows = dc.spike_coefficients(F_CUBIC, sp, WignerEnsemble(STD_NORMAL))
+    assert rows[2].ones / _weight(sp, 2) == pytest.approx(2.0)  # E(6Z + 2) = 2
+    assert rows[2].signal == 0.0
 
-    bc1 = dc.expected_derivative_matrix(Polynomial([0.0, 1.0]), 1, WignerEnsemble(STD_NORMAL))
-    assert bc1.ones == pytest.approx(1.0)
-    assert bc1.community == 0.0
+    sp1 = SpikeParams(1.3, 0.0, 50)
+    _, row1 = dc.spike_coefficients(Polynomial([0.0, 1.0]), sp1, WignerEnsemble(STD_NORMAL))
+    assert row1.signal / _weight(sp1, 1) == pytest.approx(1.0)
+    assert row1.ones == 0.0
 
 
 def test_expected_derivative_matrix_sbm_symmetric_laws():
     spec = SbmSpec(8, 0.5, Gaussian(0.4, 1.0), Gaussian(-0.4, 1.0))
-    for k in range(4):
-        bc = dc.expected_derivative_matrix(F_SBM, k, SbmEnsemble(spec))
-        assert bc.community == pytest.approx(0.0, abs=1e-12)  # equal centered laws
+    rows = dc.spike_coefficients(F_SBM, SpikeParams(1.0, Fraction(1, 3), 8), SbmEnsemble(spec))
+    assert len(rows) == 4
+    for row in rows:
+        # equal centered laws: no half-difference off the parity direction
+        off_parity = row.signal if row.k % 2 == 0 else row.ones
+        assert off_parity == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expected_derivative_matrix_sbm_asymmetric_variances():
-    spec = SbmSpec(8, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
+    n = 8
+    spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
     sq = Polynomial([0.0, 0.0, 1.0])
-    bc = dc.expected_derivative_matrix(sq, 0, SbmEnsemble(spec))
-    # E Z^2 is 1 within and 4 across
-    assert bc.ones == pytest.approx(2.5)
-    assert bc.community == pytest.approx(-1.5)
+    k0 = dc.spike_coefficients(sq, SpikeParams(1.0, 0.0, n), SbmEnsemble(spec))[0]
+    # E Z^2 is 1 within and 4 across: half-sum 2.5, half-difference -1.5
+    assert k0.ones / math.sqrt(n) == pytest.approx(2.5)
+    assert k0.signal / math.sqrt(n) == pytest.approx(-1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +172,6 @@ def test_signal_plus_noise_consistency_invariant():
 def test_signal_plus_noise_sbm_rank_two():
     n = 64
     spec = SbmSpec(n, 0.5, Gaussian(0.3, 1.0), Gaussian(-0.3, 1.0))
-    from nlspike.matrixgen import community_signal, sample_sbm_adjacency
-
     u, labels = community_signal(n, 0.5)
     A = sample_sbm_adjacency(spec, seed=7)
     delta = mean(spec.within) - mean(spec.across)
@@ -157,12 +193,35 @@ def test_spike_term_norm_equals_abs_coefficient():
     report = dc.signal_plus_noise(W, F_CUBIC, SpikeParams(1.5, 0.25, n), x, WignerEnsemble(STD_NORMAL))
     for t in report.spikes:
         if t.coefficient != 0.0:
-            assert operator_norm(t.materialize()) == pytest.approx(abs(t.coefficient), rel=1e-10)
+            dense = t.coefficient * np.outer(t.direction, t.direction)
+            assert operator_norm(dense) == pytest.approx(abs(t.coefficient), rel=1e-10)
+
+
+def test_signal_plus_noise_rejects_a_custom_signal():
+    n = 16
+    x = SignalVector(np.full(n, 1.0 / math.sqrt(n)), "custom")
+    W = sample_wigner(n, STD_NORMAL, seed=1)
+    with pytest.raises(ParameterError, match="custom"):
+        dc.signal_plus_noise(W, F_CUBIC, SpikeParams(1.0, 0.25, n), x, WignerEnsemble(STD_NORMAL))
+
+
+def test_signal_plus_noise_requires_zero_block_mean_sum():
+    # the noise is A - E A only when the block means sum to zero
+    n = 16
+    spec = SbmSpec(n, 0.5, Gaussian(1.0, 1.0), Gaussian(0.0, 1.0))
+    u, _ = community_signal(n, 0.5)
+    W = sample_sbm_adjacency(spec, seed=2)
+    with pytest.raises(ParameterError, match="sum to zero"):
+        dc.signal_plus_noise(W, F_SBM, SpikeParams(1.0, 0.0, n), u, SbmEnsemble(spec))
 
 
 # ---------------------------------------------------------------------------
-# closed-form spike aggregates
+# spike_coefficients: totals over the rows
 # ---------------------------------------------------------------------------
+
+
+def _totals(rows):
+    return sum(r.ones for r in rows), sum(r.signal for r in rows)
 
 
 def test_wigner_spike_coefficients_zeta_aggregate():
@@ -170,49 +229,66 @@ def test_wigner_spike_coefficients_zeta_aggregate():
     # vanishes with mu_f'), independent of n
     for n in (100, 1000, 10_000):
         sp = SpikeParams(2.0, Fraction(1, 3), n)
-        agg = dc.wigner_spike_coefficients(F_CUBIC, STD_NORMAL, sp)
-        assert agg.zeta_total == pytest.approx(8.0, rel=1e-12)
+        _, signal_total = _totals(dc.spike_coefficients(F_CUBIC, sp, WignerEnsemble(STD_NORMAL)))
+        assert signal_total == pytest.approx(8.0, rel=1e-12)
 
 
 def test_wigner_spike_coefficients_ones_growth_exponent():
     # kappa_1 = Theta(n^(1/2 - I_e/(2 I_o))) at the critical exponent:
     # I_e = 2, I_o = 3 gives exponent 1/6
-    sp1 = dc.wigner_spike_coefficients(F_CUBIC, STD_NORMAL, SpikeParams(1.0, Fraction(1, 3), 1000))
-    sp2 = dc.wigner_spike_coefficients(F_CUBIC, STD_NORMAL, SpikeParams(1.0, Fraction(1, 3), 8000))
-    ratio = sp2.ones_total / sp1.ones_total
-    assert ratio == pytest.approx(8.0 ** (1.0 / 6.0), rel=1e-12)
+    ensemble = WignerEnsemble(STD_NORMAL)
+    ones1, _ = _totals(dc.spike_coefficients(F_CUBIC, SpikeParams(1.0, Fraction(1, 3), 1000), ensemble))
+    ones2, _ = _totals(dc.spike_coefficients(F_CUBIC, SpikeParams(1.0, Fraction(1, 3), 8000), ensemble))
+    assert ones2 / ones1 == pytest.approx(8.0 ** (1.0 / 6.0), rel=1e-12)
 
 
 def test_wigner_spike_coefficients_includes_k0():
     shifted = Polynomial([1.0, 0.0, 0.0, 1.0])  # mean 1 under N(0,1)
-    sp = SpikeParams(1.0, 0.0, 400)
-    agg = dc.wigner_spike_coefficients(shifted, STD_NORMAL, sp)
-    k0 = [t for t in agg.terms if t.k == 0][0]
-    assert k0.direction_kind == "ones"
-    assert k0.coefficient == pytest.approx(math.sqrt(400.0), rel=1e-12)
+    rows = dc.spike_coefficients(shifted, SpikeParams(1.0, 0.0, 400), WignerEnsemble(STD_NORMAL))
+    assert rows[0].k == 0
+    assert rows[0].ones == pytest.approx(math.sqrt(400.0), rel=1e-12)
+    assert rows[0].signal == 0.0
 
 
 def test_wigner_spike_coefficients_odd_function_has_zero_ones_aggregate():
     odd = hermite_fn({3: 1.0})
-    agg = dc.wigner_spike_coefficients(odd, STD_NORMAL, SpikeParams(1.0, Fraction(1, 3), 500))
-    assert agg.ones_total == pytest.approx(0.0, abs=1e-12)
+    sp = SpikeParams(1.0, Fraction(1, 3), 500)
+    ones_total, _ = _totals(dc.spike_coefficients(odd, sp, WignerEnsemble(STD_NORMAL)))
+    assert ones_total == pytest.approx(0.0, abs=1e-12)
+
+
+def _assert_terms(spikes, expected):
+    assert len(spikes) == len(expected)
+    for term, (k, coefficient, kind) in zip(spikes, expected):
+        assert (term.k, term.direction_kind) == (k, kind)
+        assert term.coefficient == pytest.approx(coefficient, rel=1e-12, abs=1e-15)
 
 
 def test_wigner_aggregates_cross_check_with_decomposition():
-    # per-k decomposition coefficients, resolved through the parity of the
-    # Hadamard power, must reproduce the aggregate k >= 1 terms exactly
+    # the decomposition's terms, in order, against the closed form
+    # c^k n^((alpha-1/2)k+1/2) / k! times mu_k on the parity direction for
+    # i.i.d. noise, and times (gamma_k + gammabar_k)/2 on the parity and
+    # (gamma_k - gammabar_k)/2 on the other direction for the block model
     n = 240
-    c = 1.3
-    sp = SpikeParams(c, Fraction(1, 3), n)
-    W = sample_wigner(n, STD_NORMAL, seed=12)
+    sp = SpikeParams(1.3, Fraction(1, 3), n)
     x = rademacher_signal(n, seed=13)
-    report = dc.signal_plus_noise(W, F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
-    agg = dc.wigner_spike_coefficients(F_CUBIC, STD_NORMAL, sp)
-    per_k = {t.k: t.coefficient for t in agg.terms if t.k >= 1}
-    for term in report.spikes:
-        assert term.coefficient == pytest.approx(per_k[term.k], rel=1e-12, abs=1e-15)
-        expected_kind = "ones" if term.k % 2 == 0 else "signal"
-        assert term.direction_kind == expected_kind
+    report = dc.signal_plus_noise(
+        sample_wigner(n, STD_NORMAL, seed=12), F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL)
+    )
+    mu = [derivative_moment(F_CUBIC, k, STD_NORMAL) for k in range(4)]
+    _assert_terms(report.spikes, [(1, _weight(sp, 1) * mu[1], "signal"),
+                                  (2, _weight(sp, 2) * mu[2], "ones"),
+                                  (3, _weight(sp, 3) * mu[3], "signal")])
+
+    spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
+    u, _ = community_signal(n, 0.5)
+    report = dc.signal_plus_noise(sample_sbm_adjacency(spec, seed=14), F_SBM, sp, u, SbmEnsemble(spec))
+    expected = []
+    for k in (1, 2, 3):
+        g, gb = gamma_moment(F_SBM, k, spec.within), gamma_moment(F_SBM, k, spec.across)
+        parity, other = ("signal", "ones") if k % 2 else ("ones", "signal")
+        expected += [(k, _weight(sp, k) * (g + gb) / 2, parity), (k, _weight(sp, k) * (g - gb) / 2, other)]
+    _assert_terms(report.spikes, expected)
 
 
 def test_strength_scaling_exponent_log_log_slope():
@@ -223,10 +299,10 @@ def test_strength_scaling_exponent_log_log_slope():
     norms = {k: [] for k in (1, 2)}
     for n in ns:
         sp = SpikeParams(1.0, alpha, n)
-        agg = dc.wigner_spike_coefficients(Polynomial([0.0, 1.0, 1.0, 1.0]), STD_NORMAL, sp)
-        for t in agg.terms:
-            if t.k in norms:
-                norms[t.k].append(abs(t.coefficient))
+        rows = dc.spike_coefficients(Polynomial([0.0, 1.0, 1.0, 1.0]), sp, WignerEnsemble(STD_NORMAL))
+        for row in rows:
+            if row.k in norms:
+                norms[row.k].append(abs(row.ones + row.signal))  # one of the two is 0
     logs_n = np.log(ns)
     for k, values in norms.items():
         slope = np.polyfit(logs_n, np.log(values), 1)[0]
@@ -237,37 +313,34 @@ def test_strength_scaling_exponent_log_log_slope():
 def test_sbm_spike_coefficients():
     n = 2000
     spec = SbmSpec(n, 0.5, Gaussian(0.5, 1.0), Gaussian(-0.5, 1.0))
-    sp = SpikeParams(1.5, Fraction(1, 3), n)
-    agg = dc.sbm_spike_coefficients(F_SBM, spec, sp)
+    rows = dc.spike_coefficients(F_SBM, SpikeParams(1.5, Fraction(1, 3), n), SbmEnsemble(spec))
     # gamma_f''' = gammabar_f''' = 6: the k=3 community term is c^3
-    k3 = [t for t in agg.terms if t.k == 3][0]
-    assert k3.community_coefficient == pytest.approx(1.5**3, rel=1e-12)
+    assert rows[3].signal == pytest.approx(1.5**3, rel=1e-12)
     # k = 0: half-sum on ones, half-difference on community, sqrt(n)-scaled
-    k0 = [t for t in agg.terms if t.k == 0][0]
-    assert k0.ones_coefficient == pytest.approx(0.0, abs=1e-9)
-    assert k0.community_coefficient == pytest.approx(0.0, abs=1e-9)
+    assert rows[0].ones == pytest.approx(0.0, abs=1e-9)
+    assert rows[0].signal == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sbm_spike_coefficients_k0_formula():
     n = 900
     spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
     sq = Polynomial([0.0, 0.0, 1.0])
-    agg = dc.sbm_spike_coefficients(sq, spec, SpikeParams(1.0, 0.0, n))
-    k0 = [t for t in agg.terms if t.k == 0][0]
+    k0 = dc.spike_coefficients(sq, SpikeParams(1.0, 0.0, n), SbmEnsemble(spec))[0]
     g, gb = 1.0, 4.0
-    assert k0.ones_coefficient == pytest.approx(math.sqrt(n) * (g + gb) / 2.0, rel=1e-12)
-    assert k0.community_coefficient == pytest.approx(math.sqrt(n) * (g - gb) / 2.0, rel=1e-12)
+    assert k0.ones == pytest.approx(math.sqrt(n) * (g + gb) / 2.0, rel=1e-12)
+    assert k0.signal == pytest.approx(math.sqrt(n) * (g - gb) / 2.0, rel=1e-12)
 
 
 def test_sbm_spike_coefficients_odd_function_equal_laws_zero_ones():
     n = 100
     spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
     odd = hermite_fn({3: 1.0})
-    agg = dc.sbm_spike_coefficients(odd, spec, SpikeParams(1.0, Fraction(1, 3), n))
-    assert agg.constant_total == pytest.approx(0.0, abs=1e-12)
+    rows = dc.spike_coefficients(odd, SpikeParams(1.0, Fraction(1, 3), n), SbmEnsemble(spec))
+    ones_total, _ = _totals(rows)
+    assert ones_total == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sbm_spike_coefficients_requires_zero_mean_sum():
     spec = SbmSpec(10, 0.5, Gaussian(1.0, 1.0), Gaussian(0.0, 1.0))
     with pytest.raises(ParameterError):
-        dc.sbm_spike_coefficients(F_SBM, spec, SpikeParams(1.0, 0.0, 10))
+        dc.spike_coefficients(F_SBM, SpikeParams(1.0, 0.0, 10), SbmEnsemble(spec))

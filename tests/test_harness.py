@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import time
 import tracemalloc
@@ -454,6 +455,8 @@ ESD_CFG = {
     "noise": GAUSS_JSON,
 }
 
+PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_JSON, "noise": GAUSS_JSON}
+
 
 @pytest.mark.parametrize(
     "raw",
@@ -464,8 +467,23 @@ ESD_CFG = {
         signed_cfg(base_seed="s"),
         ESD_CFG | {"range": [1]},
         ESD_CFG | {"bins": "x"},
+        PREDICT_CFG | {"alpha": math.nan},
+        PREDICT_CFG | {"alpha": math.inf},
+        PREDICT_CFG | {"alpha": 0.7},
+        PREDICT_CFG | {"alpha": -0.2},
     ],
-    ids=["c_grid", "n_list", "trials_per_point", "base_seed", "esd-range", "esd-bins"],
+    ids=[
+        "c_grid",
+        "n_list",
+        "trials_per_point",
+        "base_seed",
+        "esd-range",
+        "esd-bins",
+        "predict-alpha-nan",
+        "predict-alpha-inf",
+        "predict-alpha-0.7",
+        "predict-alpha-negative",
+    ],
 )
 def test_cli_malformed_value_exits_2(tmp_path, capsys, raw):
     command = raw["experiment"]
@@ -480,7 +498,7 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, raw):
     "raw",
     [
         signed_cfg(n_list=[40], c_grid=[1.0], trials_per_point=1),
-        {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_JSON, "noise": GAUSS_JSON},
+        PREDICT_CFG,
     ],
     ids=["signed-sweep", "predict"],
 )

@@ -60,16 +60,6 @@ def test_rademacher_signal():
     assert np.array_equal(zeta**3, zeta)
 
 
-@pytest.mark.parametrize("n,k", [(16, 1), (16, 2), (16, 3), (64, 4)])
-def test_hadamard_power_norms_exact(n, k):
-    x = mg.rademacher_signal(n, seed=2)
-    u, _ = mg.community_signal(n, 0.5)
-    for sv in (x, u):
-        assert np.linalg.norm(sv.hadamard_power(k)) == pytest.approx(
-            n ** ((1 - k) / 2.0), rel=1e-12
-        )
-
-
 def test_community_signal_examples():
     u, labels = mg.community_signal(4, 0.5)
     assert np.array_equal(u.entries, [0.5, 0.5, -0.5, -0.5])
