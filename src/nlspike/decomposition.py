@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -26,34 +25,9 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
-from .matrixgen import SbmSpec, SignalVector, SpikeParams, image_step, symmetrize_upper
+from .matrixgen import SbmSpec, SignalVector, SpikeParams, alpha_fraction, image_step, symmetrize_upper
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
-
-# Float alphas within this distance of a boundary (k-1)/(2k) snap onto it.
-ALPHA_SNAP = Fraction(1, 10**12)
-
-
-def alpha_fraction(alpha) -> Fraction:
-    """alpha as an exact Fraction in [0, 1/2).
-
-    The boundaries (k-1)/(2k) are both the Taylor-order interval ends and
-    the critical exponents (I-1)/(2I), so a float alpha within ALPHA_SNAP
-    of one (e.g. 1.0/3.0) is taken to be that rational.
-    """
-    try:
-        a = Fraction(alpha)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"alpha must be a finite real number, got {alpha!r}") from exc
-    if not (0 <= a < Fraction(1, 2)):
-        raise ParameterError(f"alpha must lie in [0, 0.5), got {alpha}")
-    if isinstance(alpha, float):
-        k = round(1 / (1 - 2 * a))  # the boundary nearest to alpha
-        boundary = Fraction(k - 1, 2 * k)
-        if abs(a - boundary) <= ALPHA_SNAP:
-            return boundary
-    return a
-
 
 def ell_of_alpha(alpha) -> int:
     """Taylor order ell for a strength exponent alpha in [0, 1/2).
@@ -150,7 +124,9 @@ def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) ->
     same part of the spikes, added in spike order in place; returns noise."""
     for term in spikes:
         d = term.direction
-        noise += term.coefficient * np.outer(d[lo : lo + len(noise)], d[lo:])
+        outer = np.outer(d[lo : lo + len(noise)], d[lo:])
+        outer *= term.coefficient
+        noise += outer
     return noise
 
 
@@ -189,7 +165,9 @@ def signal_plus_noise(
     root_n = np.sqrt(n)
 
     def step(lo: int, hi: int, B: np.ndarray) -> None:
-        noise = _dense_sum(apply_elementwise(f, B) / root_n, spikes, lo)
+        noise = apply_elementwise(f, B)
+        noise /= root_n
+        _dense_sum(noise, spikes, lo)
         observe(lo, hi, B)
         B -= noise
 

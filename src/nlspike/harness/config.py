@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .. import distributions as dist
 from .. import nonlinearity as nlfn
-from ..decomposition import alpha_fraction
+from ..matrixgen import alpha_fraction
 from ..distributions import Distribution
 from ..errors import ConfigError
 from ..nonlinearity import NonlinearFn

@@ -17,6 +17,7 @@ n = 8000 one buffer is 512 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +30,31 @@ from .rng import derive_seed, generator
 BLOCK_ROWS = 64  # 1 MB per block at n = 2000, so a block stays in L2 cache; 256 ran slower
 
 
+# Float alphas within this distance of a boundary (k-1)/(2k) snap onto it.
+ALPHA_SNAP = Fraction(1, 10**12)
+
+
+def alpha_fraction(alpha) -> Fraction:
+    """alpha as an exact Fraction in [0, 1/2).
+
+    The boundaries (k-1)/(2k) are both the Taylor-order interval ends and
+    the critical exponents (I-1)/(2I), so a float alpha within ALPHA_SNAP
+    of one (e.g. 1.0/3.0) is taken to be that rational.
+    """
+    try:
+        a = Fraction(alpha)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"alpha must be a finite real number, got {alpha!r}") from exc
+    if not (0 <= a < Fraction(1, 2)):
+        raise ParameterError(f"alpha must lie in [0, 0.5), got {alpha}")
+    if isinstance(alpha, float):
+        k = round(1 / (1 - 2 * a))  # the boundary nearest to alpha
+        boundary = Fraction(k - 1, 2 * k)
+        if abs(a - boundary) <= ALPHA_SNAP:
+            return boundary
+    return a
+
+
 @dataclass(frozen=True)
 class SpikeParams:
     """Signal strength c_lambda * n^alpha at matrix size n."""
@@ -38,8 +64,7 @@ class SpikeParams:
     n: int
 
     def __post_init__(self):
-        if not (0.0 <= float(self.alpha) < 0.5):
-            raise ParameterError(f"alpha must lie in [0, 0.5), got {self.alpha}")
+        alpha_fraction(self.alpha)
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
 
@@ -133,20 +158,25 @@ def symmetrize_upper(M: np.ndarray, step=None) -> np.ndarray:
 def _draw_upper(n: int, n_plus: int, laws, gens) -> np.ndarray:
     """n x n buffer whose upper triangle holds draws of laws[0] within the
     blocks split at n_plus and of laws[1] across; each law's stream fills
-    its entries in row-major order, as a boolean mask assigns them."""
+    its entries in row-major order. Row i's upper part is one run within,
+    [i, n_plus) or [i, n), and above the split one run across, [n_plus, n);
+    each block of rows draws each law's runs in one fill."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     out = np.empty((n, n))
-    cols = np.arange(n)
     for lo, hi in row_blocks(n):
-        rows = np.arange(lo, hi)[:, None]
-        upper = cols >= rows
-        within = upper & ((rows < n_plus) == (cols < n_plus))
-        for mask, d, gen in ((within, laws[0], gens[0]), (upper & ~within, laws[1], gens[1])):
-            values = np.empty(np.count_nonzero(mask))
+        runs = (
+            [(i, i, n_plus if i < n_plus else n) for i in range(lo, hi)],
+            [(i, n_plus, n) for i in range(lo, min(hi, n_plus))],
+        )
+        for row_runs, d, gen in zip(runs, laws, gens):
+            values = np.empty(sum(end - start for _, start, end in row_runs))
             if values.size:
                 dist.fill(d, gen, values)
-                out[lo:hi][mask] = values
+                at = 0
+                for i, start, end in row_runs:
+                    out[i, start:end] = values[at : at + end - start]
+                    at += end - start
     return out
 
 
@@ -179,9 +209,10 @@ def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: f
 
     def step(lo: int, hi: int, B: np.ndarray) -> None:
         if xv is not None:
-            B += np.outer(xv[lo:hi], xv[lo:]) * spike
-        B[...] = apply_elementwise(f, B)
-        B /= root_n
+            outer = np.outer(xv[lo:hi], xv[lo:])
+            outer *= spike
+            B += outer
+        np.divide(apply_elementwise(f, B), root_n, out=B)
 
     return step
 

@@ -135,12 +135,17 @@ def derivative(f: NonlinearFn, k: int) -> NonlinearFn:
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray):
     """sum_j coeffs[j] x^j as out = out * x + c from the top coefficient,
-    updated in place: the same IEEE operations as the out-of-place form,
-    without its two temporaries per coefficient."""
-    out = np.zeros_like(x)
-    for c in reversed(coeffs):
-        out *= x
+    updated in place from out = x * c_top. For finite x that is the bits of
+    the out-of-place form from zeros, (0 * x + c_top) * x + ..., whenever
+    c_top is not -0.0 (Polynomial trims a zero top coefficient, and a
+    constant is read with a top coefficient 0.0)."""
+    if len(coeffs) == 1:
+        coeffs = (coeffs[0], 0.0)
+    out = x * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
         out += c
+        out *= x
+    out += coeffs[0]
     return out[()]  # a scalar for 0-d input, as out-of-place numpy gives
 
 

@@ -1,23 +1,25 @@
 """Symmetric eigendecomposition, operator norms, alignments, and ESDs.
 
 The extremal eigenpairs behind `sym_eig_top` and `operator_norm` come
-from one Lanczos solver once n >= _LANCZOS_MIN_N: ARPACK's implicitly
-restarted Lanczos (Lehoucq-Sorensen-Yang 1998) from a fixed start vector,
-so results are deterministic, on a matvec that reads M's lower triangle
-(BLAS dsymv, no copy), the triangle LAPACK reads too. ARPACK stops at
-the gate's tolerance (a Ritz pair's residual estimate <= RESIDUAL_RTOL
-times its |value|), and the gate still checks every Lanczos pair: each
-must pass ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F (the Frobenius
-norm bounds the spectral norm from above). When ARPACK fails, a pair
-misses the gate, or n is below the crossover, the dense LAPACK solver
-runs instead, and a dense top-k pair that misses the gate raises
-ConvergenceError. The gate certifies eigenpairs, not that they are
-the extremal ones: that rests on Lanczos converging to the ends of the
-spectrum from a start vector with a component along them.
+from one Lanczos solver once n >= _LANCZOS_MIN_N: Lanczos without
+restarts, with full reorthogonalization, from a fixed start vector, so
+results are deterministic, on a matvec that reads M's lower triangle
+(BLAS dsymv, no copy), the triangle LAPACK reads too. It keeps its whole
+basis and stops at the gate's tolerance (a Ritz pair's residual estimate
+<= RESIDUAL_RTOL times its |value|), and the gate still checks every
+Lanczos pair: each must pass ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F
+(the Frobenius norm bounds the spectral norm from above). When Lanczos
+breaks down or reaches its step cap, a pair misses the gate, or n is
+below the crossover, the dense LAPACK solver runs instead, and a dense
+top-k pair that misses the gate raises ConvergenceError. The gate
+certifies eigenpairs, not that they are the extremal ones: that rests
+on Lanczos converging to the ends of the spectrum from a start vector
+with a component along them.
 `esd_histogram` needs the full spectrum and always runs dense.
 
-The gate's norms (`dnrm2`) and the matvec (`dsymv`) both call scipy's
-BLAS. numpy loads an OpenBLAS of its own, with its own pool of worker
+The gate's norms (`dnrm2`), the matvec (`dsymv`) and Lanczos' work on
+its basis (`ddot`, `daxpy`, `dgemv`, `dgemm`) all call scipy's BLAS.
+numpy loads an OpenBLAS of its own, with its own pool of worker
 threads, and a threaded numpy call on n x n data (`np.linalg.norm(M)` is
 a `ddot` over all n^2 entries) leaves that pool's workers spinning after
 it returns, where they compete with scipy's `dsymv` workers and the next
@@ -35,15 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
-from scipy.linalg.blas import dnrm2, dsymv
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
+from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dsymv
 
 from .errors import ContractError, ConvergenceError, ParameterError
 from .matrixgen import row_blocks
 from .rng import generator
 
 SYMMETRY_RTOL = 1e-9
-# Residual gate relative to ||M||_F, also ARPACK's stopping tolerance. On the
+# Residual gate relative to ||M||_F, also Lanczos' stopping tolerance. On the
 # trials' matrices (n 500-2000) dense pairs measured below 1e-16 of it and
 # Lanczos pairs below 5e-12; a vector that is no eigenvector leaves about
 # ||M||_2 >= ||M||_F / sqrt(n).
@@ -51,9 +53,12 @@ RESIDUAL_RTOL = 1e-10
 # Smallest n solved by Lanczos: below it dense LAPACK is as fast (measured
 # on signed, decompose-remainder and SBM matrices at BLAS 1 and 2, n 300-800).
 _LANCZOS_MIN_N = 500
-_LANCZOS_NCV = 40  # Lanczos basis size; fewest matvecs of 20/30/40/60 on those matrices
-_LANCZOS_RESTARTS = 100  # about 14x the restarts (at most 7) those matrices need at n = 2000
-_LANCZOS_SEED = 0x5EED  # seeds the start vector and ARPACK's restart vectors
+_LANCZOS_COLUMNS = 64  # basis columns per block; blocks are added as the solve needs them
+_LANCZOS_CHECK = 8  # steps between convergence tests
+_LANCZOS_STEPS = 600  # step cap, twice the most measured at n = 8000 (288; 176-208 at n = 4000)
+_LANCZOS_SEED = 0x5EED  # seeds the start vector
+_EPS23 = np.finfo(float).eps ** (2.0 / 3.0)  # ARPACK's floor on |theta| in its convergence test
+_SQRT_EPS = np.finfo(float).eps ** 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,28 +119,85 @@ def _residual_bound(M: np.ndarray) -> float:
 
 
 def _lanczos(M: np.ndarray, k: int, which: str):
-    """k extremal pairs of M by ARPACK (`which` as in eigsh), stopped at the
-    gate's tolerance, as (values ascending, vectors, residuals), or None if
-    ARPACK fails or any pair misses the residual gate."""
-    # imported here: scipy.sparse costs every `import nlspike` ~34 ms
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    """k extremal pairs of M, the k largest ("LA") or k // 2 smallest and
+    the rest largest ("BE"), as (values ascending, vectors, residuals), or
+    None on breakdown, at the step cap, or if any pair misses the residual
+    gate.
 
+    Lanczos without restarts and with full reorthogonalization (Paige 1971;
+    Parlett, The Symmetric Eigenvalue Problem): the whole basis is kept, so
+    every _LANCZOS_CHECK steps the wanted Ritz pairs of the tridiagonal are
+    tested, and the solve stops once each meets ARPACK's convergence test
+    |beta_m s_mi| <= RESIDUAL_RTOL max(eps^(2/3), |theta_i|).
+    """
     n = M.shape[0]
-    op = LinearOperator((n, n), matvec=lambda u: _matvec(M, u), dtype=float)
-    rng = generator(_LANCZOS_SEED)
-    v0 = rng.standard_normal(n)
-    try:
-        w, v = eigsh(
-            op, k, which=which, v0=v0, ncv=_LANCZOS_NCV, maxiter=_LANCZOS_RESTARTS, tol=RESIDUAL_RTOL, rng=rng
-        )
-    except ArpackError:  # ArpackNoConvergence included
-        return None
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    residuals = _residuals(M, w, v)
-    if not np.all(residuals <= _residual_bound(M)):
-        return None
-    return w, v, residuals
+    steps = min(_LANCZOS_STEPS, n)
+    blocks = []  # the basis, in Fortran-ordered blocks of _LANCZOS_COLUMNS columns
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = generator(_LANCZOS_SEED).standard_normal(n)
+    q /= dnrm2(q)
+    for j in range(steps):
+        b, c = divmod(j, _LANCZOS_COLUMNS)
+        if c == 0:
+            blocks.append(np.empty((n, _LANCZOS_COLUMNS), order="F"))
+        blocks[b][:, c] = q
+        basis = blocks[:b] + [blocks[b][:, : c + 1]]
+        w = _matvec(M, q)
+        scale = dnrm2(w)
+        alpha[j] = ddot(q, w)
+        w = daxpy(q, w, a=-alpha[j])
+        if j:
+            w = daxpy(previous, w, a=-beta[j - 1])
+        # one classical Gram-Schmidt pass against the basis, and a second
+        # one only if the first cancels (the DGKS test)
+        before = dnrm2(w)
+        for _ in range(2):
+            w = _project_out(basis, w)
+            beta[j] = dnrm2(w)
+            if beta[j] >= 0.717 * before:
+                break
+            before = beta[j]
+        if beta[j] <= _SQRT_EPS * scale:
+            # breakdown: what is left of M q is rounding, so the basis spans
+            # an invariant subspace, which may miss a wanted pair (a
+            # repeated eigenvalue shows in it once)
+            return None
+        m = j + 1
+        if m > k and (m % _LANCZOS_CHECK == 0 or m == steps):
+            theta, S = _ritz(alpha[:m], beta[: m - 1], k, which)
+            if np.all(beta[j] * np.abs(S[-1]) <= RESIDUAL_RTOL * np.maximum(_EPS23, np.abs(theta))):
+                v = np.zeros((n, len(theta)), order="F")
+                for B, rows in zip(basis, np.split(S, range(_LANCZOS_COLUMNS, m, _LANCZOS_COLUMNS))):
+                    v = dgemm(1.0, B, rows, beta=1.0, c=v, overwrite_c=1)
+                residuals = _residuals(M, theta, v)
+                if not np.all(residuals <= _residual_bound(M)):
+                    return None
+                return theta, v, residuals
+        previous, q = q, w / beta[j]
+    return None
+
+
+def _project_out(basis: list, w: np.ndarray) -> np.ndarray:
+    """w minus its components along the basis blocks' orthonormal columns,
+    in place: one classical Gram-Schmidt pass."""
+    h = [dgemv(1.0, B, w, trans=1) for B in basis]
+    for B, coefficients in zip(basis, h):
+        w = dgemv(-1.0, B, coefficients, beta=1.0, y=w, overwrite_y=1)
+    return w
+
+
+def _ritz(d: np.ndarray, e: np.ndarray, k: int, which: str):
+    """The wanted eigenpairs (values ascending) of the tridiagonal with
+    diagonal d and off-diagonal e. It is scaled to entries of at most 1
+    first: LAPACK's bisection fails on entries near 1e160."""
+    m = len(d)
+    scale = max(np.max(np.abs(d)), np.max(e))
+    low = k // 2 if which == "BE" else 0
+    ranges = [(0, low - 1)] if low else []
+    ranges.append((m - (k - low), m - 1))
+    pairs = [eigh_tridiagonal(d / scale, e / scale, select="i", select_range=r, check_finite=False) for r in ranges]
+    theta = np.concatenate([w for w, _ in pairs]) * scale
+    return theta, np.hstack([s for _, s in pairs])
 
 
 def sym_eig_top(M: np.ndarray, k: int) -> EigenPairs:
@@ -145,7 +207,7 @@ def sym_eig_top(M: np.ndarray, k: int) -> EigenPairs:
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     found = None
-    if n >= _LANCZOS_MIN_N and 2 * k < _LANCZOS_NCV:  # room for twice the wanted pairs
+    if n >= _LANCZOS_MIN_N and 2 * k < _LANCZOS_COLUMNS:  # a few pairs, as the trials ask
         found = _lanczos(M, k, "LA")
     if found is None:
         if k == n:

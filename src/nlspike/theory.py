@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decomposition import alpha_fraction
+from .matrixgen import alpha_fraction
 from .distributions import Distribution
 from .errors import ConvergenceError, ParameterError
 from .nonlinearity import (

@@ -3,18 +3,21 @@
 The reference functions below are the earlier implementations, kept
 verbatim: one whole-vector draw per law, fancy-index mirroring through
 triu/tril index arrays, the `is_within` mask for the block model,
-`W + s xx^T -> f -> / sqrt(n)` on whole matrices, and the remainder
-against a dense `noise + sum of spikes`. The builders consume their input
+`W + s xx^T -> f -> / sqrt(n)` on whole matrices, the remainder against
+a dense `noise + sum of spikes`, and Horner's rule from zeros. The builders consume their input
 matrix and read only its upper triangle, so they get a copy, or a copy
 whose strict lower triangle is NaN. Every comparison is bit for bit
 (`np.array_equal` or `==`), not approximate.
 """
 
+import math
+
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlspike import distributions as dist
+from nlspike import nonlinearity as nlfn
 from nlspike.decomposition import WignerEnsemble, _dense_sum, signal_plus_noise
 from nlspike.matrixgen import (
     SbmSpec,
@@ -101,6 +104,14 @@ def _old_dense_sum(noise_part, spikes):
     return out
 
 
+def _old_horner(coeffs, x):
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out *= x
+        out += c
+    return out[()]
+
+
 def _nan_below(M):
     """Copy of M whose strict lower triangle is NaN, the part no builder reads."""
     out = M.copy()
@@ -156,6 +167,45 @@ def test_sample_sbm_adjacency_matches_masked_fill(n, k, seed):
     spec = SbmSpec(n, n_plus / n, dist.Gaussian(0.3, 1.0), dist.Uniform(-1.0, 0.4))
     assert spec.n_plus == n_plus
     assert np.array_equal(sample_sbm_adjacency(spec, seed), _old_sample_sbm_adjacency(spec, seed))
+
+
+# ---------------------------------------------------------------------------
+# the element-wise kernel
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@given(
+    st.lists(FINITE, min_size=1, max_size=8),
+    st.integers(0, 3),
+    st.lists(st.one_of(FINITE, ZEROS), min_size=1, max_size=40),
+)
+@example([-1.0, -3.0, 1.0, 1.0], 0, [0.0, -0.0, 1.0, -2.5, 1e300])  # He2 + He3
+@example([-0.0], 0, [0.0, -0.0, 3.0, -3.0])  # a constant -0.0
+@example([2.0, -0.0], 2, [0.0, -0.0, 3.0, -3.0])
+@settings(max_examples=200, deadline=None)
+def test_horner_matches_the_form_from_zeros(coeffs, top_zeros, xs):
+    """Zero top coefficients too: evaluate never passes them (Polynomial
+    trims them), but the two forms agree on them for finite x. A top -0.0
+    is the one exception, (0 * x - 0.0) * x = +0.0 against x * -0.0."""
+    coeffs = tuple(coeffs) + (0.0,) * top_zeros
+    assume(math.copysign(1.0, coeffs[-1]) > 0.0 or len(coeffs) == 1)
+    x = np.array(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert nlfn._horner(coeffs, x).tobytes() == _old_horner(coeffs, x).tobytes()
+        for v in map(np.asarray, xs[:3]):  # 0-d input gives a scalar
+            got, want = nlfn._horner(coeffs, v), _old_horner(coeffs, v)
+            assert np.isscalar(got) and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@given(st.integers(0, nlfn.K_MAX), st.lists(st.one_of(FINITE, ZEROS), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_tanh_derivatives_match_the_form_from_zeros(order, xs):
+    t = np.tanh(np.array(xs))
+    got = nlfn.evaluate(Named("tanh", order), np.array(xs))
+    assert got.tobytes() == _old_horner(nlfn._tanh_deriv_tcoeffs(order), t).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nlspike import matrixgen as mg
+from nlspike.decomposition import ell_of_alpha
 from nlspike.distributions import Gaussian, Rademacher
 from nlspike.errors import ParameterError
 from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams
@@ -23,6 +25,18 @@ def test_spike_params_validation():
         SpikeParams(1.0, 0.25, 0)
     sp = SpikeParams(2.0, 0.25, 16)
     assert sp.signal_strength == pytest.approx(2.0 * 2.0)  # 16^(1/4) = 2
+
+
+def test_spike_params_read_alpha_by_the_one_rule():
+    # below 1/2 exactly, though its float rounds to 0.5: the parameters and
+    # the Taylor order must accept the same alphas
+    alpha = Fraction(10**20 - 1, 2 * 10**20)
+    assert float(alpha) == 0.5
+    assert SpikeParams(1.0, alpha, 10).alpha == alpha
+    assert ell_of_alpha(alpha) == 10**20
+    for bad in (float("nan"), float("inf"), 0.5, None):
+        with pytest.raises(ParameterError):
+            SpikeParams(1.0, bad, 10)
 
 
 def test_wigner_symmetric_and_support():

@@ -9,11 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from nlspike import decomposition
 from nlspike import spectral as sp
@@ -434,8 +432,9 @@ def test_gate_holds_on_entries_whose_squares_overflow():
 # ---------------------------------------------------------------------------
 
 
-def _no_convergence(*args, **kwargs):
-    raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+def _no_convergence(monkeypatch):
+    # a step cap too small for any trial matrix's pairs to converge
+    monkeypatch.setattr(sp, "_LANCZOS_STEPS", 4)
 
 
 def _bad_pair(A, k, **kwargs):
@@ -445,13 +444,18 @@ def _bad_pair(A, k, **kwargs):
     return np.linspace(1.0, 2.0, k), v
 
 
-@pytest.mark.parametrize("fake", [_no_convergence, _bad_pair], ids=["no-convergence", "bad-pair"])
+def _bad_ritz_vectors(monkeypatch):
+    # converged Ritz values whose vectors come out wrong: the gate must catch them
+    monkeypatch.setattr(sp, "dgemm", lambda alpha, Q, S, **kwargs: _bad_pair(Q, S.shape[1])[1])
+
+
+@pytest.mark.parametrize("fake", [_no_convergence, _bad_ritz_vectors], ids=["no-convergence", "bad-pair"])
 def test_fallback_returns_the_dense_answer(monkeypatch, fake):
     n = sp._LANCZOS_MIN_N + 20
     M = _matrix("spiked", n, 3, 4.0)
     w_ref, v_ref = _dense_top(M, 2)
     dense_norm = float(max(abs(x) for x in eigvalsh(M)[[0, -1]]))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fake)
+    fake(monkeypatch)
     assert sp._lanczos(M, 2, "LA") is None
     pairs = sp.sym_eig_top(M, 2)
     assert np.array_equal(pairs.values, w_ref)
@@ -463,21 +467,47 @@ def test_fallback_returns_the_dense_answer(monkeypatch, fake):
 @pytest.mark.parametrize("n", [40, sp._LANCZOS_MIN_N + 20])
 def test_dense_residual_failure_raises_convergence_error(monkeypatch, n):
     M = _matrix("wigner", n, 4, 0.0)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _bad_pair)
+    _no_convergence(monkeypatch)
     monkeypatch.setattr(sp, "eigh", lambda A, **kwargs: _bad_pair(A, 1))
     with pytest.raises(ConvergenceError, match="residual") as info:
         sp.sym_eig_top(M, 1)
     assert info.value.residual > sp.RESIDUAL_RTOL * np.linalg.norm(M)
 
 
+def test_breakdown_falls_back_to_dense():
+    # three distinct eigenvalues: the Krylov space is 3-dimensional, so
+    # Lanczos breaks down after 3 steps having seen the repeated top once
+    n = sp._LANCZOS_MIN_N
+    diagonal = np.full(n, 1.0)
+    diagonal[[7, 300]] = 3.0
+    diagonal[-1] = -0.5
+    M = np.diag(diagonal)
+    assert sp._lanczos(M, 2, "LA") is None
+    assert sp._lanczos(M, 2, "BE") is None
+    pairs = sp.sym_eig_top(M, 2)
+    assert np.array_equal(pairs.values, [3.0, 3.0])
+    assert np.all(pairs.residuals == 0.0)
+    assert sp.operator_norm(M) == 3.0
+
+
 def test_import_leaves_arpack_unloaded():
-    # scipy.sparse.linalg is imported on the first Lanczos solve, not by
-    # `import nlspike` (about 34 ms of every CLI start)
+    # no solver loads scipy.sparse: `import nlspike` and a full Lanczos
+    # solve (every pair through the gate) leave it out, along with its
+    # ~34 ms of start-up
     src = Path(sp.__file__).resolve().parents[1]
-    code = "import sys, nlspike; print('scipy.sparse.linalg' in sys.modules)"
+    code = (
+        "import sys, nlspike\n"
+        "from nlspike import spectral as sp\n"
+        "from nlspike.distributions import Gaussian\n"
+        "loaded = 'scipy.sparse' in sys.modules\n"
+        "M = nlspike.sample_wigner(sp._LANCZOS_MIN_N, Gaussian(0, 1), 1)\n"
+        "assert sp._lanczos(M, 2, 'LA') is not None and sp._lanczos(M, 2, 'BE') is not None\n"
+        "sp.sym_eig_top(M, 2), sp.operator_norm(M)\n"
+        "print(loaded, 'scipy.sparse' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_lanczos_reads_the_triangle_lapack_reads():
