@@ -11,7 +11,11 @@ community vector), so x^ok lies on the constant direction for even k and
 on x for odd k, and E f^(k)(W) has rank <= 2 (constant for i.i.d. noise,
 two-block for the SBM). Every H_k therefore splits into at most two
 rank-one terms on the unit directions 1/sqrt(n) and x, and one table,
-spike_coefficients, gives their weights for k = 0..ell.
+spike_coefficients, gives their weights for k = 0..ell. Both directions
+have entries +-1/sqrt(n), so a term is one value times a constant or a
+sign pattern: the remainder adds it to the noise image row run by row
+run, with the IEEE ops of the dense outer product but without forming
+one, and skips a term whose weight is 0.0 (He_2 + He_3 has E f' = 0).
 """
 
 from __future__ import annotations
@@ -121,12 +125,28 @@ class DecompositionReport:
 
 def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) -> np.ndarray:
     """noise, which is rows lo: and columns lo: of the noise image, plus the
-    same part of the spikes, added in spike order in place; returns noise."""
+    same part of the spikes, added in spike order in place; returns noise.
+
+    Each term keeps the IEEE ops of noise += (d d^T) * c without forming
+    d d^T: every direction has entries +-s, so the term is the one value
+    fl(fl(s s) c) times the sign pattern sigma_i sigma_j. Its row
+    sigma_j fl(fl(s s) c) is added to each run of rows with sigma_i = +1 and
+    subtracted from each run with sigma_i = -1 (x - y is x + (-y)); the
+    constant direction is one run. A term with c = 0.0 only adds +-0.0 and
+    is skipped."""
     for term in spikes:
+        if term.coefficient == 0.0:
+            continue
         d = term.direction
-        outer = np.outer(d[lo : lo + len(noise)], d[lo:])
-        outer *= term.coefficient
-        noise += outer
+        value = (d[0] * d[0]) * term.coefficient
+        row = np.where(d[lo:] > 0.0, value, -value)
+        positive = d[lo : lo + len(noise)] > 0.0
+        edges = [0, *(np.flatnonzero(positive[1:] != positive[:-1]) + 1), len(noise)]
+        for a, b in zip(edges[:-1], edges[1:]):
+            if positive[a]:
+                noise[a:b] += row
+            else:
+                noise[a:b] -= row
     return noise
 
 

@@ -39,7 +39,8 @@ def alpha_fraction(alpha) -> Fraction:
 
     The boundaries (k-1)/(2k) are both the Taylor-order interval ends and
     the critical exponents (I-1)/(2I), so a float alpha within ALPHA_SNAP
-    of one (e.g. 1.0/3.0) is taken to be that rational.
+    of one (e.g. 1.0/3.0) is taken to be that rational. A "p/q" string
+    is read as that Fraction, as the theory functions take it.
     """
     try:
         a = Fraction(alpha)
@@ -64,6 +65,9 @@ class SpikeParams:
     n: int
 
     def __post_init__(self):
+        # signal_strength takes float(alpha), which no "p/q" string survives
+        if isinstance(self.alpha, str):
+            raise ParameterError(f"alpha must be a number or a Fraction, got {self.alpha!r}")
         alpha_fraction(self.alpha)
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")

@@ -2,11 +2,14 @@
 
 The extremal eigenpairs behind `sym_eig_top` and `operator_norm` come
 from one Lanczos solver once n >= _LANCZOS_MIN_N: Lanczos without
-restarts, with full reorthogonalization, from a fixed start vector, so
-results are deterministic, on a matvec that reads M's lower triangle
-(BLAS dsymv, no copy), the triangle LAPACK reads too. It keeps its whole
-basis and stops at the gate's tolerance (a Ritz pair's residual estimate
-<= RESIDUAL_RTOL times its |value|), and the gate still checks every
+restarts, from a fixed start vector, so results are deterministic, on a
+matvec that reads M's lower triangle (BLAS dsymv, no copy), the triangle
+LAPACK reads too. It keeps its whole basis, but projects a new vector
+out of it only where Simon's estimate of the lost orthogonality calls
+for it (partial reorthogonalization: 4-20 projections in a solve of
+24-176 steps at n 500-2000). It stops at
+the gate's tolerance (a Ritz pair's residual estimate <= RESIDUAL_RTOL
+times its |value|), and the gate still checks every
 Lanczos pair: each must pass ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F
 (the Frobenius norm bounds the spectral norm from above). When Lanczos
 breaks down or reaches its step cap, a pair misses the gate, or n is
@@ -17,8 +20,9 @@ on Lanczos converging to the ends of the spectrum from a start vector
 with a component along them.
 `esd_histogram` needs the full spectrum and always runs dense.
 
-The gate's norms (`dnrm2`), the matvec (`dsymv`) and Lanczos' work on
-its basis (`ddot`, `daxpy`, `dgemv`, `dgemm`) all call scipy's BLAS.
+The gate's norms (`dnrm2`), the matvec (`dsymv`), Lanczos' work on its
+basis (`ddot`, `daxpy`, `dgemv`, `dgemm`) and on its tridiagonal
+(`dsbmv`; LAPACK's `dstebz` and `dstein`) all call scipy's BLAS.
 numpy loads an OpenBLAS of its own, with its own pool of worker
 threads, and a threaded numpy call on n x n data (`np.linalg.norm(M)` is
 a `ddot` over all n^2 entries) leaves that pool's workers spinning after
@@ -37,8 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
-from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dsymv
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigh, eigvalsh
+from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dsbmv, dsymv, idamax
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ContractError, ConvergenceError, ParameterError
 from .matrixgen import row_blocks
@@ -57,8 +63,14 @@ _LANCZOS_COLUMNS = 64  # basis columns per block; blocks are added as the solve 
 _LANCZOS_CHECK = 8  # steps between convergence tests
 _LANCZOS_STEPS = 600  # step cap, twice the most measured at n = 8000 (288; 176-208 at n = 4000)
 _LANCZOS_SEED = 0x5EED  # seeds the start vector
-_EPS23 = np.finfo(float).eps ** (2.0 / 3.0)  # ARPACK's floor on |theta| in its convergence test
-_SQRT_EPS = np.finfo(float).eps ** 0.5
+# Simon's estimate of a basis vector's largest inner product with the earlier
+# ones that triggers a projection. At sqrt(eps), semi-orthogonality, the Ritz
+# vectors of signed n = 1000-2000 matrices lost up to 3e-12 of orthogonality;
+# at 1e-10 they kept it to 1e-13, for 4-16 projections a solve.
+_LANCZOS_ORTHO = 1e-10
+_EPS = np.finfo(float).eps
+_EPS23 = _EPS ** (2.0 / 3.0)  # ARPACK's floor on |theta| in its convergence test
+_SQRT_EPS = _EPS**0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +136,28 @@ def _lanczos(M: np.ndarray, k: int, which: str):
     None on breakdown, at the step cap, or if any pair misses the residual
     gate.
 
-    Lanczos without restarts and with full reorthogonalization (Paige 1971;
-    Parlett, The Symmetric Eigenvalue Problem): the whole basis is kept, so
-    every _LANCZOS_CHECK steps the wanted Ritz pairs of the tridiagonal are
-    tested, and the solve stops once each meets ARPACK's convergence test
+    Lanczos without restarts (Paige 1971; Parlett, The Symmetric Eigenvalue
+    Problem): the whole basis is kept, so every _LANCZOS_CHECK steps the
+    wanted Ritz pairs of the tridiagonal are tested, and the solve stops
+    once each meets ARPACK's convergence test
     |beta_m s_mi| <= RESIDUAL_RTOL max(eps^(2/3), |theta_i|).
+
+    Partial reorthogonalization (Simon 1984): Simon's recurrence estimates
+    the inner products of each new basis vector with the earlier ones, and
+    the vector is projected out of the whole basis only at the step the
+    largest estimate passes _LANCZOS_ORTHO and at the step after, where
+    full reorthogonalization projects at every step.
     """
     n = M.shape[0]
     steps = min(_LANCZOS_STEPS, n)
     blocks = []  # the basis, in Fortran-ordered blocks of _LANCZOS_COLUMNS columns
-    alpha, beta = np.empty(steps), np.empty(steps)
+    band = np.zeros((2, steps), order="F")  # the tridiagonal in LAPACK's lower band storage
+    alpha, beta = band
+    # Simon's estimates of q_j^T q_k (omega) and q_(j-1)^T q_k (previous), k <= j
+    omega, previous = np.zeros(steps + 1), np.zeros(steps + 1)
+    omega[0] = 1.0
+    rounding = _EPS * np.sqrt(n)  # a vector's loss of orthogonality from one step's rounding
+    project_next = False
     q = generator(_LANCZOS_SEED).standard_normal(n)
     q /= dnrm2(q)
     for j in range(steps):
@@ -144,19 +168,27 @@ def _lanczos(M: np.ndarray, k: int, which: str):
         basis = blocks[:b] + [blocks[b][:, : c + 1]]
         w = _matvec(M, q)
         scale = dnrm2(w)
+        if j:
+            w = daxpy(q_before, w, a=-beta[j - 1])
         alpha[j] = ddot(q, w)
         w = daxpy(q, w, a=-alpha[j])
-        if j:
-            w = daxpy(previous, w, a=-beta[j - 1])
-        # one classical Gram-Schmidt pass against the basis, and a second
-        # one only if the first cancels (the DGKS test)
-        before = dnrm2(w)
-        for _ in range(2):
-            w = _project_out(basis, w)
-            beta[j] = dnrm2(w)
-            if beta[j] >= 0.717 * before:
-                break
+        beta[j] = dnrm2(w)
+        drift = 0.0
+        if beta[j] > _SQRT_EPS * scale:  # else a breakdown, below
+            drift = _next_omega(band, j, omega, previous, rounding * scale)
+            omega, previous = previous, omega
+        if project_next or drift > _LANCZOS_ORTHO:
+            # one classical Gram-Schmidt pass against the basis, and a second
+            # one only if the first cancels (the DGKS test)
             before = beta[j]
+            for _ in range(2):
+                w = _project_out(basis, w)
+                beta[j] = dnrm2(w)
+                if beta[j] >= 0.717 * before:
+                    break
+                before = beta[j]
+            omega[: j + 1] = rounding
+            project_next = not project_next
         if beta[j] <= _SQRT_EPS * scale:
             # breakdown: what is left of M q is rounding, so the basis spans
             # an invariant subspace, which may miss a wanted pair (a
@@ -173,8 +205,28 @@ def _lanczos(M: np.ndarray, k: int, which: str):
                 if not np.all(residuals <= _residual_bound(M)):
                     return None
                 return theta, v, residuals
-        previous, q = q, w / beta[j]
+        q_before, q = q, w / beta[j]
     return None
+
+
+def _next_omega(band: np.ndarray, j: int, omega: np.ndarray, previous: np.ndarray, rounding: float) -> float:
+    """Simon's estimates of q_(j+1)^T q_k, k <= j + 1, written over previous
+    (those of q_(j-1)) from omega (those of q_j), and the largest of them
+    in magnitude over k < j. The recurrence, from the Lanczos relation
+    M q_k = beta_(k-1) q_(k-1) + alpha_k q_k + beta_k q_(k+1) (T_(j+1)'s
+    rows, one banded matvec):
+    beta_j omega'_k = (T_(j+1) omega)_k - alpha_j omega_k - beta_(j-1) previous_k
+    plus the rounding term with the sign of the rest; q_(j+1)^T q_j is
+    rounding / beta_j."""
+    a_j, b_j = band[:, j]
+    drift = 0.0
+    if j:
+        t = dsbmv(1, 1.0 / b_j, band[:, : j + 1], omega, beta=-band[1, j - 1] / b_j, y=previous, overwrite_y=1, lower=1)
+        t = daxpy(omega, t, n=j, a=-a_j / b_j)[:j]
+        t += np.copysign(rounding / b_j, t)
+        drift = abs(t[idamax(t)])
+    previous[j : j + 2] = rounding / b_j, 1.0
+    return drift
 
 
 def _project_out(basis: list, w: np.ndarray) -> np.ndarray:
@@ -188,16 +240,24 @@ def _project_out(basis: list, w: np.ndarray) -> np.ndarray:
 
 def _ritz(d: np.ndarray, e: np.ndarray, k: int, which: str):
     """The wanted eigenpairs (values ascending) of the tridiagonal with
-    diagonal d and off-diagonal e. It is scaled to entries of at most 1
-    first: LAPACK's bisection fails on entries near 1e160."""
+    diagonal d and off-diagonal e: LAPACK's bisection (dstebz) for each
+    end's values, then inverse iteration (dstein) for their vectors. It
+    is scaled to entries of at most 1 first: the bisection fails on
+    entries near 1e160."""
     m = len(d)
     scale = max(np.max(np.abs(d)), np.max(e))
+    d, e = d / scale, e / scale
     low = k // 2 if which == "BE" else 0
-    ranges = [(0, low - 1)] if low else []
-    ranges.append((m - (k - low), m - 1))
-    pairs = [eigh_tridiagonal(d / scale, e / scale, select="i", select_range=r, check_finite=False) for r in ranges]
-    theta = np.concatenate([w for w, _ in pairs]) * scale
-    return theta, np.hstack([s for _, s in pairs])
+    ends = [(1, low)] if low else []
+    ends.append((m - (k - low) + 1, m))
+    found = [dstebz(d, e, 2, 0.0, 0.0, il, iu, 0.0, "B") for il, iu in ends]
+    theta = np.concatenate([w[:count] for count, w, _, _, _ in found])
+    iblock = np.zeros(m, dtype=found[0][2].dtype)  # dstein takes it at length m
+    iblock[:k] = np.concatenate([block[:count] for count, _, block, _, _ in found])
+    S, info = dstein(d, e, theta, iblock, found[0][3])
+    if info or any(f[-1] for f in found):
+        raise LinAlgError("dstebz or dstein failed on the Lanczos tridiagonal")
+    return theta * scale, S
 
 
 def sym_eig_top(M: np.ndarray, k: int) -> EigenPairs:

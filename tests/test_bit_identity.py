@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 
 from nlspike import distributions as dist
 from nlspike import nonlinearity as nlfn
-from nlspike.decomposition import WignerEnsemble, _dense_sum, signal_plus_noise
+from nlspike.decomposition import SbmEnsemble, WignerEnsemble, _dense_sum, signal_plus_noise
 from nlspike.matrixgen import (
     SbmSpec,
     SpikeParams,
     assemble_observation,
+    community_signal,
     rademacher_signal,
     sample_sbm_adjacency,
     sample_wigner,
 )
-from nlspike.nonlinearity import Named, apply_elementwise, hermite_fn
+from nlspike.nonlinearity import Named, Polynomial, apply_elementwise, hermite_fn
 from nlspike.rng import derive_seed, generator
 from nlspike.sbm import transform_and_embed
 from nlspike.spectral import operator_norm
@@ -41,6 +42,8 @@ LAWS = [
 HE2_HE3 = hermite_fn({2: 1.0, 3: 1.0})
 TANH = Named("tanh")
 ABS = Named("abs")
+LINEAR_CUBIC = Polynomial([0.0, 1.0, 0.5, 0.25])  # x + x^2/2 + x^3/4, with E f' != 0
+SBM_CENTERED_LAWS = (dist.Gaussian(0.3, 1.0), dist.Uniform(-1.3, 0.7))  # block means sum to 0
 SEEDS = st.integers(0, 2**64 - 1)
 SIZES = st.integers(1, 600)
 
@@ -252,21 +255,35 @@ def test_transform_and_embed_matches_whole_matrix_form(n, f, seed):
 
 @given(
     st.integers(1, 300),
-    st.sampled_from([HE2_HE3, TANH]),
+    st.sampled_from([HE2_HE3, TANH, LINEAR_CUBIC]),
     st.floats(0.0, 4.0),
     st.sampled_from([0.25, 1 / 3]),
     SEEDS,
+    st.sampled_from(["wigner", "sbm-equal-laws", "sbm"]),
 )
-@example(255, HE2_HE3, 1.0, 0.25, 1)
-@example(256, TANH, 2.0, 1 / 3, 2)
-@example(257, HE2_HE3, 3.0, 1 / 3, 3)
+@example(255, HE2_HE3, 1.0, 0.25, 1, "wigner")
+@example(256, TANH, 2.0, 1 / 3, 2, "wigner")
+@example(257, HE2_HE3, 3.0, 1 / 3, 3, "wigner")
+@example(200, LINEAR_CUBIC, 1.5, 1 / 3, 4, "wigner")  # a nonzero k = 1 term
+@example(130, LINEAR_CUBIC, 2.0, 1 / 3, 5, "sbm-equal-laws")  # two terms per order, one of them 0.0
+@example(131, TANH, 1.0, 0.25, 6, "sbm")
+@example(517, HE2_HE3, 1.0, 0.25, 7, "wigner")  # n >= 500, not a multiple of 64: the Lanczos norm
 @settings(max_examples=15, deadline=None)
-def test_remainder_norm_matches_dense_sum(n, f, c, alpha, seed):
-    law = dist.Gaussian(0.0, 1.0)
-    W = sample_wigner(n, law, derive_seed(seed, 0))
-    x = rademacher_signal(n, derive_seed(seed, 1))
+def test_remainder_norm_matches_dense_sum(n, f, c, alpha, seed, model):
+    if model == "wigner":
+        law = dist.Gaussian(0.0, 1.0)
+        W = sample_wigner(n, law, derive_seed(seed, 0))
+        x = rademacher_signal(n, derive_seed(seed, 1))
+        ensemble = WignerEnsemble(law)
+    else:
+        assume(n >= 2)
+        laws = (dist.Gaussian(0.0, 1.0),) * 2 if model == "sbm-equal-laws" else SBM_CENTERED_LAWS
+        spec = SbmSpec(n, (n // 2) / n, *laws)
+        W = sample_sbm_adjacency(spec, seed)
+        x, _ = community_signal(n, spec.beta)
+        ensemble = SbmEnsemble(spec)
     sp = SpikeParams(c, alpha, n)
-    report = signal_plus_noise(_nan_below(W), f, sp, x, WignerEnsemble(law))
+    report = signal_plus_noise(_nan_below(W), f, sp, x, ensemble)
     old_noise = apply_elementwise(f, W) / np.sqrt(n)
     Y = _old_assemble_observation(W, f, sp, x)
     Y -= _old_dense_sum(old_noise, report.spikes)

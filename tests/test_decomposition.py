@@ -1,5 +1,7 @@
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from nlspike import decomposition as dc
 from nlspike.decomposition import SbmEnsemble, WignerEnsemble, ell_of_alpha
 from nlspike.distributions import Gaussian, mean
 from nlspike.errors import ParameterError
+from nlspike.harness import parse_config, sweeps
 from nlspike.matrixgen import (
     SbmSpec,
     SignalVector,
     SpikeParams,
     community_signal,
     rademacher_signal,
+    row_blocks,
     sample_sbm_adjacency,
     sample_wigner,
 )
@@ -195,6 +199,38 @@ def test_spike_term_norm_equals_abs_coefficient():
         if t.coefficient != 0.0:
             dense = t.coefficient * np.outer(t.direction, t.direction)
             assert operator_norm(dense) == pytest.approx(abs(t.coefficient), rel=1e-10)
+
+
+@pytest.mark.parametrize("coeffs", [[-1.0, -3.0, 1.0, 1.0], [0.0, 1.0, 0.5, 0.25]], ids=["He2+He3", "linear-cubic"])
+def test_spike_terms_form_no_outer_product(monkeypatch, coeffs):
+    # each spike term is a constant or a sign pattern, added without an
+    # outer product; only the observation's spike in image_step keeps one
+    # np.outer per row block
+    n = 300
+    cfg = parse_config(
+        {
+            "experiment": "decompose-check",
+            "n_list": [n],
+            "c_grid": [1.0],
+            "alpha": 1 / 3,
+            "trials_per_point": 1,
+            "base_seed": 6,
+            "f": {"kind": "polynomial", "coeffs": coeffs},
+            "noise": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+        }
+    )
+    numpy_outer = np.outer
+    callers = []
+
+    def recording_outer(a, b, *args, **kwargs):
+        code = sys._getframe(1).f_code
+        callers.append((Path(code.co_filename).name, code.co_name))
+        return numpy_outer(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "outer", recording_outer)
+    row = sweeps._decompose_trial(cfg, n, 1.0, 0, 6)
+    assert math.isfinite(row[4]) and row[4] > 0.0
+    assert callers == [("matrixgen.py", "step")] * len(list(row_blocks(n)))  # image_step's step
 
 
 def test_signal_plus_noise_rejects_a_custom_signal():

@@ -8,6 +8,7 @@ from nlspike import matrixgen as mg
 from nlspike.decomposition import ell_of_alpha
 from nlspike.distributions import Gaussian, Rademacher
 from nlspike.errors import ParameterError
+from nlspike.harness import parse_config
 from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams
 from nlspike.nonlinearity import Polynomial
 from nlspike.spectral import operator_norm
@@ -37,6 +38,29 @@ def test_spike_params_read_alpha_by_the_one_rule():
     for bad in (float("nan"), float("inf"), 0.5, None):
         with pytest.raises(ParameterError):
             SpikeParams(1.0, bad, 10)
+
+
+def test_spike_params_reject_a_string_alpha():
+    # Fraction("1/3") parses, so a string alpha used to construct and then
+    # fail in signal_strength with a bare ValueError
+    for bad in ("1/3", "0.25", ""):
+        with pytest.raises(ParameterError, match="a number or a Fraction"):
+            SpikeParams(1.0, bad, 10)
+    # a config's "p/q" string still parses: it becomes a Fraction first
+    cfg = parse_config(
+        {
+            "experiment": "signed-sweep",
+            "n_list": [40],
+            "c_grid": [1.0],
+            "alpha": "1/3",
+            "trials_per_point": 1,
+            "base_seed": 1,
+            "f": {"kind": "polynomial", "coeffs": [0.0, 1.0]},
+            "noise": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+        }
+    )
+    assert cfg.alpha == Fraction(1, 3)
+    assert SpikeParams(1.0, cfg.alpha, 27).signal_strength == pytest.approx(3.0)
 
 
 def test_wigner_symmetric_and_support():

@@ -339,6 +339,41 @@ def test_lanczos_norm_of_a_decomposition_remainder(monkeypatch):
     assert abs(remainder_norm - dense) <= 1e-10 * dense
 
 
+@pytest.mark.parametrize("case", ["signed-c0.8", "decompose-remainder"])
+def test_partial_reorthogonalization_keeps_full_accuracy(monkeypatch, case):
+    # the basis is projected only where Simon's estimate calls for it, yet
+    # the Ritz pairs stay orthonormal and equal to LAPACK's
+    n = 1000
+    if case == "signed-c0.8":
+        M, k, which = _signed_trial_matrix(n, 0.8, n + 8), 2, "LA"
+    else:
+        M, k, which = _decomposition_remainder(monkeypatch, n, 7)[0], 2, "BE"
+    calls = {"matvecs": 0, "projections": 0}
+    matvec, project_out = sp._matvec, sp._project_out
+
+    def counting_matvec(A, u):
+        calls["matvecs"] += 1
+        return matvec(A, u)
+
+    def counting_project_out(basis, w):
+        calls["projections"] += 1
+        return project_out(basis, w)
+
+    monkeypatch.setattr(sp, "_matvec", counting_matvec)
+    monkeypatch.setattr(sp, "_project_out", counting_project_out)
+    w, v, _ = sp._lanczos(M, k, which)
+    steps = calls["matvecs"] - k  # the gate's residuals take one matvec per pair
+    assert 0 < calls["projections"] < steps / 4
+    assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
+    w_all = eigvalsh(M)
+    w_ref = w_all[-k:] if which == "LA" else w_all[[0, -1]]
+    assert np.all(np.abs(w - w_ref) <= 1e-12 * np.abs(w_ref))
+    if which == "LA":
+        _, v_ref = _dense_top(M, k)
+        for j in range(k):
+            assert abs(v[:, k - 1 - j] @ v_ref[:, j]) >= 1.0 - 1e-12
+
+
 def test_operator_norm_finds_the_clustered_end():
     # an isolated top at 1 and a cluster at the bottom whose end is
     # -1.001: one "largest magnitude" pair settles on the wrong end here
