@@ -29,7 +29,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
-from .matrixgen import SbmSpec, SignalVector, SpikeParams, alpha_fraction, image_step, symmetrize_upper
+from .matrixgen import SbmSpec, SignalVector, SpikeParams, alpha_fraction, form_upper, image_step
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
 
@@ -160,8 +160,9 @@ def signal_plus_noise(
     """Build the spike terms and measure the operator-norm remainder
     f(W + spike)/sqrt(n) - (f(W)/sqrt(n) + spikes), built in W's buffer:
     each row block's noise image and spikes are formed before the block
-    becomes the observation, then subtracted from it. W is consumed, and
-    only its upper triangle is read.
+    becomes the observation, then subtracted from it. W is consumed: only
+    its upper triangle is read, and the remainder is formed there and
+    normed without a mirror.
 
     Each order k >= 1 gives one term on its parity direction under i.i.d.
     noise, and under the block model that term and one on the other
@@ -191,5 +192,5 @@ def signal_plus_noise(
         observe(lo, hi, B)
         B -= noise
 
-    remainder = operator_norm(symmetrize_upper(W, step))
+    remainder = operator_norm(form_upper(W, step))
     return DecompositionReport(rows[-1].k, spikes, remainder)

@@ -26,6 +26,8 @@ from ..matrixgen import (
     SbmSpec,
     SpikeParams,
     assemble_observation,
+    form_upper,
+    image_step,
     rademacher_signal,
     sbm_upper,
     wigner_upper,
@@ -97,7 +99,8 @@ def _signed_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int
     top pair with the constant direction and of the second with the signal."""
     W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
-    Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)  # in W's buffer
+    strength = SpikeParams(c, cfg.alpha, n).signal_strength
+    Y = form_upper(W, image_step(cfg.f, n, x.entries, strength))  # assemble_observation, unmirrored
     pairs = sym_eig_top(Y, 2)
     ones = np.full(n, 1.0 / math.sqrt(n))
     corr1 = alignment(pairs.vectors[:, 0], ones)

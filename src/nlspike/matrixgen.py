@@ -1,13 +1,18 @@
 """Noise ensembles, signal vectors, and assembly of the observed matrix.
 
-Matrices are dense, row-major float64 and exactly symmetric: the upper
-triangle (diagonal included) is computed and mirrored, so M[i, j] and
-M[j, i] are the same bits.
+Matrices are dense, row-major float64. Only the upper triangle (diagonal
+included) is ever computed. The public builders (`sample_wigner`,
+`assemble_observation`, ...) mirror it, so their M[i, j] and M[j, i] are
+the same bits.
 
 A trial builds its matrix in one n x n buffer. The noise is drawn row by
-row into its upper triangle, the observation is formed there in place in
-row blocks of BLOCK_ROWS rows, each from its diagonal on, and one mirror
-fills the lower triangle. No index array, value vector or other n^2-sized
+row into its upper triangle, and `form_upper` forms the observation there
+in place, in row blocks of BLOCK_ROWS rows, each from its diagonal on. It
+returns an `UpperTriangle`: a symmetric matrix by construction, whose
+entries left of the diagonal squares are never written, and which the
+solvers in `spectral` take without a symmetry check, reading nothing
+below the diagonal. `mirror_upper` fills the lower triangle where a full
+matrix is wanted. No index array, value vector or other n^2-sized
 temporary is made, f runs on about half the entries, and every element
 keeps its IEEE operation, so the bits equal those of the whole-matrix
 form. A trial peaks at about 1.2 buffers by tracemalloc (n = 1024); at
@@ -143,11 +148,20 @@ def row_blocks(n: int):
     return ((lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
 
 
-def symmetrize_upper(M: np.ndarray, step=None) -> np.ndarray:
-    """Make M exactly symmetric from its upper triangle, the only part read,
-    in place, by row blocks: mirror the diagonal square, let step(lo, hi, B)
-    rewrite B = M[lo:hi, lo:] element-wise, then copy the rows' part left
-    of the square from the finished rows above. Returns M."""
+@dataclass(frozen=True, eq=False)
+class UpperTriangle:
+    """The symmetric matrix held in the upper triangle, diagonal included,
+    of a square float64 buffer, as form_upper leaves it: the solvers read
+    nothing below the diagonal, so it is symmetric by construction."""
+
+    matrix: np.ndarray
+
+
+def form_upper(M: np.ndarray, step=None) -> UpperTriangle:
+    """The block pass over M's upper triangle, the only part read, in place:
+    in each row block, mirror the diagonal square (so step sees no unset
+    entry), then let step(lo, hi, B) rewrite B = M[lo:hi, lo:]
+    element-wise. Nothing left of the diagonal squares is read or written."""
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.dtype != np.float64 or not M.flags.writeable:
         raise ParameterError(f"expected a writable square float64 matrix, got {M.dtype} {M.shape}")
     for lo, hi in row_blocks(M.shape[0]):
@@ -155,8 +169,21 @@ def symmetrize_upper(M: np.ndarray, step=None) -> np.ndarray:
         np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
         if step is not None:
             step(lo, hi, M[lo:hi, lo:])
+    return UpperTriangle(M)
+
+
+def mirror_upper(M: np.ndarray) -> np.ndarray:
+    """Copy M's upper triangle into the rows' parts left of their diagonal
+    squares, which form_upper leaves unset, in place. Returns M."""
+    for lo, hi in row_blocks(M.shape[0]):
         M[lo:hi, :lo] = M[:lo, lo:hi].T
     return M
+
+
+def symmetrize_upper(M: np.ndarray, step=None) -> np.ndarray:
+    """form_upper, then mirror_upper: M made exactly symmetric in place from
+    its upper triangle, with step applied. Returns M."""
+    return mirror_upper(form_upper(M, step).matrix)
 
 
 def _draw_upper(n: int, n_plus: int, laws, gens) -> np.ndarray:
@@ -207,7 +234,7 @@ def sample_sbm_adjacency(spec: SbmSpec, seed: int) -> np.ndarray:
 
 
 def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: float = 0.0):
-    """symmetrize_upper step turning W's block into that of f(W + strength
+    """form_upper step turning W's block into that of f(W + strength
     sqrt(n) x x^T) / sqrt(n) (no spike without x), in whole-matrix IEEE ops."""
     root_n, spike = np.sqrt(n), strength * np.sqrt(n)
 

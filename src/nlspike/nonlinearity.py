@@ -359,16 +359,23 @@ def signal_constant_index(
     J_c the smallest with the (-1)^k sign, both scanned up to K_MAX
     (clamped as in even_odd_index, which makes inf exact for
     polynomials), on the same nonzero test and kwargs as even_odd_index.
+    Each order's two moments are evaluated once for both scans, and once
+    in all when the two centered laws are equal.
     """
     k_hi = _top_order(f)
     _, cd = dist.mean_and_center(d)
     _, cdb = dist.mean_and_center(d_bar)
 
+    @lru_cache(maxsize=None)
+    def moments(k):
+        g, eg, _ = expectation(derivative(f, k), cd, **kwargs)
+        gb, eb, _ = (g, eg, None) if cdb == cd else expectation(derivative(f, k), cdb, **kwargs)
+        return g, gb, math.hypot(eg, eb)
+
     def combo(sign_exponent):
         def mag(k):
-            g, eg, _ = expectation(derivative(f, k), cd, **kwargs)
-            gb, eb, _ = expectation(derivative(f, k), cdb, **kwargs)
-            return g + (-1.0) ** (k + sign_exponent) * gb, math.hypot(eg, eb)
+            g, gb, err = moments(k)
+            return g + (-1.0) ** (k + sign_exponent) * gb, err
 
         return mag
 

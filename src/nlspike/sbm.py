@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .matrixgen import SbmSpec, community_signal, image_step, sbm_upper, symmetrize_upper
+from .matrixgen import SbmSpec, community_signal, form_upper, image_step, sbm_upper, symmetrize_upper
 from .nonlinearity import NonlinearFn
 from .spectral import sym_eig_top
 
@@ -71,7 +71,7 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     f and the block laws, not of the trial: it is
     RegimePrediction.which_eigenpair of `sbm_recovery_prediction`.
     """
-    Y = transform_and_embed(sbm_upper(spec, seed), f)
+    Y = form_upper(sbm_upper(spec, seed), image_step(f, spec.n))  # transform_and_embed, unmirrored
     k = min(4, spec.n)
     pairs = sym_eig_top(Y, k)
     top4 = tuple(float(v) for v in pairs.values) + (float("nan"),) * (4 - k)

@@ -1,23 +1,34 @@
 """Symmetric eigendecomposition, operator norms, alignments, and ESDs.
 
-The extremal eigenpairs behind `sym_eig_top` and `operator_norm` come
-from one Lanczos solver once n >= _LANCZOS_MIN_N: Lanczos without
-restarts, from a fixed start vector, so results are deterministic, on a
-matvec that reads M's lower triangle (BLAS dsymv, no copy), the triangle
-LAPACK reads too. It keeps its whole basis, but projects a new vector
-out of it only where Simon's estimate of the lost orthogonality calls
-for it (partial reorthogonalization: 4-20 projections in a solve of
-24-176 steps at n 500-2000). It stops at
-the gate's tolerance (a Ritz pair's residual estimate <= RESIDUAL_RTOL
-times its |value|), and the gate still checks every
-Lanczos pair: each must pass ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F
-(the Frobenius norm bounds the spectral norm from above). When Lanczos
-breaks down or reaches its step cap, a pair misses the gate, or n is
-below the crossover, the dense LAPACK solver runs instead, and a dense
-top-k pair that misses the gate raises ConvergenceError. The gate
-certifies eigenpairs, not that they are the extremal ones: that rests
-on Lanczos converging to the ends of the spectrum from a start vector
-with a component along them.
+Every solver reads only the upper triangle of its matrix, diagonal
+included, as LAPACK's symmetric routines read one triangle: the Lanczos
+matvec is BLAS dsymv on the lower triangle of the Fortran-ordered view
+M.T (no copy), and `eigh` / `eigvalsh` run on M.T with lower=True.
+`sym_eig_top` and `operator_norm` take either a caller's matrix, which
+`_check_symmetric` scans in full (square, finite, symmetric within
+SYMMETRY_RTOL), or a `matrixgen.UpperTriangle`, which the trials build
+with `form_upper` and which is symmetric by construction: nothing below
+its diagonal is read, so it is not scanned. Both then call one solver
+core, `_solve`. Before its first matvec the core takes ||M||_F in one
+pass over the triangle (`_residual_bound`); a NaN or inf entry makes it
+non-finite and raises ContractError, so finiteness is checked on every
+path, and the finite norm is the residual gate's bound.
+
+The extremal eigenpairs come from one Lanczos solver once n >=
+_LANCZOS_MIN_N: Lanczos without restarts, from a fixed start vector, so
+results are deterministic. It keeps its whole basis, but projects a new
+vector out of it only where Simon's estimate of the lost orthogonality
+calls for it (partial reorthogonalization: 4-20 projections in a solve
+of 24-176 steps at n 500-2000). It stops at the gate's tolerance (a Ritz
+pair's residual estimate <= RESIDUAL_RTOL times its |value|), and the
+gate still checks every Lanczos pair: each must pass
+||M v - value v|| <= RESIDUAL_RTOL * ||M||_F (the Frobenius norm bounds
+the spectral norm from above). When Lanczos breaks down or reaches its
+step cap, a pair misses the gate, or n is below the crossover, the dense
+LAPACK solver runs instead, and a dense top-k pair that misses the gate
+raises ConvergenceError. The gate certifies eigenpairs, not that they
+are the extremal ones: that rests on Lanczos converging to the ends of
+the spectrum from a start vector with a component along them.
 `esd_histogram` needs the full spectrum and always runs dense.
 
 The gate's norms (`dnrm2`), the matvec (`dsymv`), Lanczos' work on its
@@ -38,6 +49,7 @@ magnitude (lowest index on ties) is made positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +59,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dsbmv, dsymv, id
 from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ContractError, ConvergenceError, ParameterError
-from .matrixgen import row_blocks
+from .matrixgen import UpperTriangle, row_blocks
 from .rng import generator
 
 SYMMETRY_RTOL = 1e-9
@@ -79,7 +91,7 @@ class EigenPairs:
 
     values: np.ndarray  # (k,), descending
     vectors: np.ndarray  # (n, k), orthonormal columns
-    residuals: np.ndarray  # (k,), ||M v - value v||_2 over M's lower triangle
+    residuals: np.ndarray  # (k,), ||M v - value v||_2 over M's upper triangle
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
@@ -113,10 +125,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _matvec(M: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """S u for S, the symmetric matrix of M's lower triangle: the triangle
-    LAPACK's eigh and eigvalsh read. M.T is a Fortran-ordered view, so
-    dsymv reads it with no copy."""
-    return dsymv(1.0, M.T, u)
+    """S u for S, the symmetric matrix of M's upper triangle. M.T is a
+    Fortran-ordered view whose lower triangle that is, so dsymv reads it
+    with no copy."""
+    return dsymv(1.0, M.T, u, lower=1)
 
 
 def _residuals(M: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -124,17 +136,54 @@ def _residuals(M: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _residual_bound(M: np.ndarray) -> float:
-    # ||M||_F in scipy's BLAS, the matvec's, not numpy's (see the module
-    # docstring). dnrm2 scales its sum of squares, so entries beyond about
-    # 1e154 cannot overflow the bound to inf, which would pass any pair.
-    return RESIDUAL_RTOL * dnrm2(M.ravel(order="K"))
+    """RESIDUAL_RTOL ||S||_F for S, the symmetric matrix of M's upper
+    triangle, in one pass over it: scipy's dnrm2 (the matvec's BLAS, not
+    numpy's; see the module docstring) of each row's part right of the
+    diagonal and of the diagonal, combined by math.hypot. Both scale their
+    sums of squares, so entries near 1e160 cannot overflow the bound to
+    inf, which would pass any pair. A NaN or inf in the triangle makes the
+    norm non-finite: ContractError, as for a norm that overflows."""
+    n = M.shape[0]
+    flat = M.ravel()  # a view of a C-ordered M
+    rows = [dnrm2(flat, n - i - 1, i * (n + 1) + 1) for i in range(n - 1)]
+    norm = math.hypot(math.sqrt(2.0) * math.hypot(*rows), dnrm2(flat, n, 0, n + 1))
+    if not math.isfinite(norm):
+        raise ContractError("matrix has non-finite entries")
+    return RESIDUAL_RTOL * norm
 
 
-def _lanczos(M: np.ndarray, k: int, which: str):
-    """k extremal pairs of M, the k largest ("LA") or k // 2 smallest and
-    the rest largest ("BE"), as (values ascending, vectors, residuals), or
-    None on breakdown, at the step cap, or if any pair misses the residual
-    gate.
+def _solve(M: np.ndarray, k: int, which: str):
+    """The solver core of sym_eig_top ("LA": the k largest pairs) and
+    operator_norm ("BE", k = 2: a pair at each end) on the symmetric
+    matrix of M's upper triangle, nothing below the diagonal read. Returns
+    (values ascending, vectors, residuals); the dense "BE" path returns
+    LAPACK's whole spectrum, values only, with no residual to check.
+
+    The norm pass comes first, so a non-finite M raises ContractError
+    before any matvec, and its bound gates the Lanczos and the dense pairs
+    alike."""
+    bound = _residual_bound(M)
+    n = M.shape[0]
+    if n >= _LANCZOS_MIN_N and 2 * k < _LANCZOS_COLUMNS:  # a few pairs, as the trials ask
+        found = _lanczos(M, k, which, bound)
+        if found is not None:
+            return found
+    if which == "BE":
+        return eigvalsh(M.T, lower=True, check_finite=False), None, None
+    subset = None if k == n else [n - k, n - 1]
+    w, v = eigh(M.T, lower=True, subset_by_index=subset, check_finite=False)
+    residuals = _residuals(M, w, v)
+    worst = float(np.max(residuals))
+    if not worst <= bound:
+        raise ConvergenceError(f"dense eigh residual {worst:.3e} exceeds {RESIDUAL_RTOL:g} * ||M||_F", worst)
+    return w, v, residuals
+
+
+def _lanczos(M: np.ndarray, k: int, which: str, bound: float):
+    """k extremal pairs of the symmetric matrix of M's upper triangle, the
+    k largest ("LA") or k // 2 smallest and the rest largest ("BE"), as
+    (values ascending, vectors, residuals), or None on breakdown, at the
+    step cap, or if any pair's residual exceeds the gate's bound.
 
     Lanczos without restarts (Paige 1971; Parlett, The Symmetric Eigenvalue
     Problem): the whole basis is kept, so every _LANCZOS_CHECK steps the
@@ -202,7 +251,7 @@ def _lanczos(M: np.ndarray, k: int, which: str):
                 for B, rows in zip(basis, np.split(S, range(_LANCZOS_COLUMNS, m, _LANCZOS_COLUMNS))):
                     v = dgemm(1.0, B, rows, beta=1.0, c=v, overwrite_c=1)
                 residuals = _residuals(M, theta, v)
-                if not np.all(residuals <= _residual_bound(M)):
+                if not np.all(residuals <= bound):
                     return None
                 return theta, v, residuals
         q_before, q = q, w / beta[j]
@@ -260,45 +309,37 @@ def _ritz(d: np.ndarray, e: np.ndarray, k: int, which: str):
     return theta * scale, S
 
 
-def sym_eig_top(M: np.ndarray, k: int) -> EigenPairs:
-    """Top-k eigenpairs of a symmetric matrix by algebraic value."""
-    M = _check_symmetric(M)
+def _readable(M) -> np.ndarray:
+    """The buffer whose upper triangle the core reads: an UpperTriangle's
+    own, symmetric by construction, or a caller's matrix after the full
+    symmetry check."""
+    return M.matrix if isinstance(M, UpperTriangle) else _check_symmetric(M)
+
+
+def sym_eig_top(M: np.ndarray | UpperTriangle, k: int) -> EigenPairs:
+    """Top-k eigenpairs of a symmetric matrix by algebraic value: a
+    caller's matrix, checked in full, or an UpperTriangle, read in its
+    upper triangle only."""
+    M = _readable(M)
     n = M.shape[0]
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
-    found = None
-    if n >= _LANCZOS_MIN_N and 2 * k < _LANCZOS_COLUMNS:  # a few pairs, as the trials ask
-        found = _lanczos(M, k, "LA")
-    if found is None:
-        if k == n:
-            w, v = eigh(M, check_finite=False)
-        else:
-            w, v = eigh(M, subset_by_index=[n - k, n - 1], check_finite=False)
-        residuals = _residuals(M, w, v)
-        worst = float(np.max(residuals))
-        if not worst <= _residual_bound(M):
-            raise ConvergenceError(
-                f"dense eigh residual {worst:.3e} exceeds {RESIDUAL_RTOL:g} * ||M||_F", worst
-            )
-        found = w, v, residuals
-    w, v, residuals = found
+    w, v, residuals = _solve(M, k, "LA")
     return EigenPairs(w[::-1].copy(), _fix_signs(v[:, ::-1]), residuals[::-1].copy())
 
 
-def operator_norm(M: np.ndarray) -> float:
-    """max(|lambda_max|, |lambda_min|) of a symmetric matrix.
+def operator_norm(M: np.ndarray | UpperTriangle) -> float:
+    """max(|lambda_max|, |lambda_min|) of a symmetric matrix, taken as
+    sym_eig_top takes it.
 
     Lanczos asks for one pair at each end ("BE"): asking for the single
     pair of largest magnitude ("LM") can settle on the wrong end when one
-    end is isolated and the other clustered. The dense path is LAPACK's
-    full spectrum, values only, so it has no residual to check.
+    end is isolated and the other clustered.
     """
-    M = _check_symmetric(M)
-    n = M.shape[0]
-    if n == 0:
+    M = _readable(M)
+    if M.shape[0] == 0:
         return 0.0
-    found = _lanczos(M, 2, "BE") if n >= _LANCZOS_MIN_N else None
-    w = found[0] if found is not None else eigvalsh(M, check_finite=False)
+    w, _, _ = _solve(M, 2, "BE")
     return float(max(abs(w[0]), abs(w[-1])))
 
 

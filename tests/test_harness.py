@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlspike import spectral
+from nlspike import decomposition, sbm, spectral
 from nlspike.errors import ConfigError, FormatError
 from nlspike.harness import (
     emit_plot,
@@ -21,6 +21,7 @@ from nlspike.harness import (
 )
 from nlspike.harness import sweeps
 from nlspike.harness.cli import main as cli_main
+from nlspike.matrixgen import UpperTriangle, mirror_upper, row_blocks
 
 F_JSON = {"kind": "polynomial", "coeffs": [-1.0, -3.0, 1.0, 1.0]}
 GAUSS_JSON = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
@@ -338,6 +339,87 @@ def test_default_threads_follow_usable_cores(monkeypatch):
     assert sweeps._run_tuples(worker, list(range(24)), None) == list(range(24))
     assert peak <= 2
     assert len(names) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the trials' one-triangle contract
+# ---------------------------------------------------------------------------
+
+# kernel -> (module whose solver binding the kernel calls, solver name, trial, config overrides)
+TRIAL_KERNELS = {
+    "signed-sweep": (sweeps, "sym_eig_top", sweeps._signed_trial, {}),
+    "decompose-check": (decomposition, "operator_norm", sweeps._decompose_trial, {"experiment": "decompose-check"}),
+    "sbm-sweep": (sbm, "sym_eig_top", sweeps._sbm_trial, SBM_RAW),
+}
+TRIAL_SIZES = [130, spectral._LANCZOS_MIN_N + 100]  # the dense path, then the Lanczos path
+
+
+def _run_kernel(kernel, n, c=2.6, seed=123):
+    _, _, trial, raw = TRIAL_KERNELS[kernel]
+    return trial(parse_config(sweep_cfg(n_list=[n], c_grid=[c], **raw)), n, c, 0, seed)
+
+
+@pytest.mark.parametrize("n", TRIAL_SIZES)
+@pytest.mark.parametrize("kernel", list(TRIAL_KERNELS))
+def test_trial_solves_read_only_the_upper_triangle(monkeypatch, kernel, n):
+    """Every entry below the diagonal is NaN when the trial's matrix reaches
+    the solver, yet values, vectors, residuals and norm equal bit for bit
+    those of the checked public entry on the mirrored matrix."""
+    module, name, _, _ = TRIAL_KERNELS[kernel]
+    solve = getattr(spectral, name)
+    answers = []
+
+    def nan_below(Y, *args):
+        assert isinstance(Y, UpperTriangle)
+        mirrored = mirror_upper(Y.matrix.copy())
+        Y.matrix[np.tril_indices(n, -1)] = np.nan
+        got = solve(Y, *args)
+        answers.append((got, solve(mirrored, *args)))
+        return got
+
+    monkeypatch.setattr(module, name, nan_below)
+    _run_kernel(kernel, n)
+    ((got, checked),) = answers
+    if name == "operator_norm":
+        assert got == checked
+    else:
+        for field in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(got, field), getattr(checked, field))
+
+
+@pytest.mark.parametrize("kernel", list(TRIAL_KERNELS))
+def test_trial_kernels_skip_the_symmetry_scan_and_the_mirror(monkeypatch, kernel):
+    """No trial kernel calls _check_symmetric, and none writes left of its
+    diagonal squares: NaN put there after the draw is still there at the
+    solve, and the trial's row is finite."""
+    module, name, _, _ = TRIAL_KERNELS[kernel]
+    n = spectral._LANCZOS_MIN_N + 100
+    solve = getattr(spectral, name)
+    checked = []
+
+    def nan_left_of_squares(draw):
+        def drawn(*args):
+            M = draw(*args)
+            for lo, hi in row_blocks(n):
+                M[lo:hi, :lo] = np.nan
+            return M
+
+        return drawn
+
+    def untouched(Y, *args):
+        checked.append(all(np.isnan(Y.matrix[lo:hi, :lo]).all() for lo, hi in row_blocks(n)))
+        return solve(Y, *args)
+
+    def no_scan(M):
+        raise AssertionError("a trial kernel scanned its matrix for symmetry")
+
+    monkeypatch.setattr(spectral, "_check_symmetric", no_scan)
+    monkeypatch.setattr(sweeps, "wigner_upper", nan_left_of_squares(sweeps.wigner_upper))
+    monkeypatch.setattr(sbm, "sbm_upper", nan_left_of_squares(sbm.sbm_upper))
+    monkeypatch.setattr(module, name, untouched)
+    row = _run_kernel(kernel, n)
+    assert checked == [True]
+    assert all(math.isfinite(v) for v in row)
 
 
 # ---------------------------------------------------------------------------

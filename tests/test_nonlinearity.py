@@ -354,6 +354,33 @@ def test_signal_constant_index_examples():
     assert nlfn.signal_constant_index(sq, STD_NORMAL, STD_NORMAL) == (math.inf, 0)
 
 
+@pytest.mark.parametrize(
+    "f,d,d_bar,expected",
+    [
+        (Named("tanh"), Uniform(-1.0, 1.0), Uniform(-1.0, 1.0), (1, math.inf)),
+        (Named("tanh"), Gaussian(0.3, 1.0), Uniform(-1.3, 0.7), (1, 1)),
+        (F_SBM, Gaussian(0.5, 1.0), Gaussian(-0.5, 1.0), (3, 2)),
+    ],
+    ids=["tanh-equal-laws", "tanh-two-laws", "polynomial-equal-centered-laws"],
+)
+def test_signal_constant_index_evaluates_each_moment_once(monkeypatch, f, d, d_bar, expected):
+    # the J_s and J_c scans share each order's two block moments, and equal
+    # centered laws share one: at most one expectation per (order, law)
+    calls = []
+    expectation = nlfn.expectation
+
+    def counting(g, law, **kwargs):
+        calls.append((repr(g), law))
+        return expectation(g, law, **kwargs)
+
+    monkeypatch.setattr(nlfn, "expectation", counting)
+    assert nlfn.signal_constant_index(f, d, d_bar) == expected
+    centered = {dist.mean_and_center(d)[1], dist.mean_and_center(d_bar)[1]}
+    assert len(calls) == len(set(calls))
+    assert {law for _, law in calls} == centered
+    assert len(calls) <= len(centered) * (nlfn._top_order(f) + 1)
+
+
 def test_unit_variance_reading_of_block_laws():
     # any across-variance other than 1 breaks (J_s, J_c) = (3, 2): the
     # zeroth-order means of the transformed blocks already differ

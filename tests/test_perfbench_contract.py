@@ -1,9 +1,13 @@
 """perfbench/spans.py binds nlspike's function signatures by name; a change
-that breaks its traced runs (`perfbench/run.py --trace 1`) fails here."""
+that breaks its traced runs (`perfbench/run.py --trace 1`) fails here. So
+does a change that moves a workload's CSV digits out of the benchmark's
+reference gate (perfbench/gate.py)."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import nlspike.harness  # noqa: F401  Tracer.install wraps the harness layers too
 from nlspike import theory
@@ -11,15 +15,35 @@ from nlspike.distributions import Uniform
 from nlspike.harness import parse_config, run_experiment
 from nlspike.nonlinearity import Named
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    """perfbench/<name>.py as a module of its own, read only."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load("spans")
+
+
+WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_meets_its_reference_rows(name, tmp_path):
+    """Each workload's sweep, run once at the reference seed with its own
+    worker count, meets perfbench/reference/<name>.csv within the column
+    tolerances the benchmark's gate applies."""
+    workload = WORKLOADS.WORKLOADS[name]
+    cfg = parse_config(workload.sweep_config(WORKLOADS.REFERENCE_SEED))
+    csv = Path(run_experiment(cfg, tmp_path, workload.workers)["csv"]).read_text()
+    reference = (PERFBENCH / "reference" / f"{name}.csv").read_text()
+    assert _load("gate").reference_failures(csv, reference, workload.tolerances) == 0
 
 
 def test_tracer_records_moment_spans_without_monte_carlo():

@@ -19,7 +19,9 @@ from nlspike.distributions import Gaussian
 from nlspike.errors import ContractError, ConvergenceError, ParameterError
 from nlspike.matrixgen import (
     SpikeParams,
+    UpperTriangle,
     assemble_observation,
+    mirror_upper,
     rademacher_signal,
     sample_wigner,
     wigner_upper,
@@ -240,6 +242,11 @@ def _matrix(kind, n, seed, shift):
     return M
 
 
+def _lanczos(M, k, which):
+    """sp._lanczos gated by M's own residual bound, as the solver core calls it."""
+    return sp._lanczos(M, k, which, sp._residual_bound(M))
+
+
 def _dense_top(M, k):
     n = M.shape[0]
     w, v = eigh(M, subset_by_index=[n - k, n - 1])
@@ -264,7 +271,7 @@ def _assert_matches_dense(values, vectors, residuals, M, w_ref, v_ref):
 @settings(max_examples=12, deadline=None)
 def test_lanczos_top_k_matches_dense(n, kind, seed, k, shift):
     M = _matrix(kind, n, seed, shift)
-    found = sp._lanczos(M, k, "LA")
+    found = _lanczos(M, k, "LA")
     assert found is not None
     w, v, residuals = found
     w_ref, v_ref = _dense_top(M, k)
@@ -283,7 +290,7 @@ def test_lanczos_top_k_matches_dense(n, kind, seed, k, shift):
 @settings(max_examples=12, deadline=None)
 def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
     M = _matrix(kind, n, seed, shift)
-    found = sp._lanczos(M, 2, "BE")
+    found = _lanczos(M, 2, "BE")
     assert found is not None
     w, v, residuals = found
     w_all, v_all = eigh(M)
@@ -305,11 +312,12 @@ def _signed_trial_matrix(n, c, seed):
 
 def _decomposition_remainder(monkeypatch, n, seed):
     """The decompose-check remainder at c = 1, captured on its way to
-    operator_norm, and the remainder norm the decomposition reported."""
+    operator_norm as the UpperTriangle the decomposition builds and kept
+    mirrored, and the remainder norm the decomposition reported."""
     remainders = []
 
     def keep_remainder(M):
-        remainders.append(M.copy())
+        remainders.append(mirror_upper(M.matrix.copy()))
         return sp.operator_norm(M)
 
     monkeypatch.setattr(decomposition, "operator_norm", keep_remainder)
@@ -325,7 +333,7 @@ def _decomposition_remainder(monkeypatch, n, seed):
 def test_lanczos_on_signed_trial_matrices(c):
     # bulk-edge (0.8) and detached (2.6, 5.0) top pairs of the signed sweep's He2+He3 observation
     M = _signed_trial_matrix(TRIAL_N, c, int(10 * c))
-    assert sp._lanczos(M, 2, "LA") is not None  # every pair passes the gate: no dense fallback
+    assert _lanczos(M, 2, "LA") is not None  # every pair passes the gate: no dense fallback
     w_ref, v_ref = _dense_top(M, 2)
     pairs = sp.sym_eig_top(M, 2)
     _assert_matches_dense(pairs.values, pairs.vectors, pairs.residuals, M, w_ref, v_ref)
@@ -333,7 +341,7 @@ def test_lanczos_on_signed_trial_matrices(c):
 
 def test_lanczos_norm_of_a_decomposition_remainder(monkeypatch):
     remainder, remainder_norm = _decomposition_remainder(monkeypatch, TRIAL_N, 7)
-    assert sp._lanczos(remainder, 2, "BE") is not None
+    assert _lanczos(remainder, 2, "BE") is not None
     w_all = eigvalsh(remainder)
     dense = max(-w_all[0], w_all[-1])
     assert abs(remainder_norm - dense) <= 1e-10 * dense
@@ -361,7 +369,7 @@ def test_partial_reorthogonalization_keeps_full_accuracy(monkeypatch, case):
 
     monkeypatch.setattr(sp, "_matvec", counting_matvec)
     monkeypatch.setattr(sp, "_project_out", counting_project_out)
-    w, v, _ = sp._lanczos(M, k, which)
+    w, v, _ = _lanczos(M, k, which)
     steps = calls["matvecs"] - k  # the gate's residuals take one matvec per pair
     assert 0 < calls["projections"] < steps / 4
     assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
@@ -462,6 +470,31 @@ def test_gate_holds_on_entries_whose_squares_overflow():
     assert np.all(np.isfinite(big_pairs.residuals))
 
 
+@pytest.mark.parametrize("n", [40, sp._LANCZOS_MIN_N + 20])
+def test_core_rejects_non_finite_upper_entries(n):
+    # a trial's matrix is not scanned: the core's norm pass is its
+    # finiteness check, on the dense and the Lanczos path, for an entry on
+    # the diagonal, in a row's first or last block, and for a NaN below
+    # the diagonal nothing is rejected, as nothing reads it
+    M = _matrix("wigner", n, 8, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (n - 1, n - 1), (3, 4), (3, n - 1), (n - 2, n - 1)):
+            A = M.copy()
+            A[i, j] = bad
+            for solve in (lambda Y: sp.sym_eig_top(Y, 2), sp.operator_norm):
+                with pytest.raises(ContractError, match="^matrix has non-finite entries$"):
+                    solve(UpperTriangle(A))
+    below = M.copy()
+    below[np.tril_indices(n, -1)] = np.nan
+    assert sp.operator_norm(UpperTriangle(below)) == sp.operator_norm(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = below * 1e160
+        bound = sp._residual_bound(big)
+        assert abs(bound - 1e160 * sp._residual_bound(M)) <= 1e-14 * bound
+        assert sp.operator_norm(UpperTriangle(big)) == pytest.approx(1e160 * sp.operator_norm(M), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the dense fallback
 # ---------------------------------------------------------------------------
@@ -491,7 +524,7 @@ def test_fallback_returns_the_dense_answer(monkeypatch, fake):
     w_ref, v_ref = _dense_top(M, 2)
     dense_norm = float(max(abs(x) for x in eigvalsh(M)[[0, -1]]))
     fake(monkeypatch)
-    assert sp._lanczos(M, 2, "LA") is None
+    assert _lanczos(M, 2, "LA") is None
     pairs = sp.sym_eig_top(M, 2)
     assert np.array_equal(pairs.values, w_ref)
     assert np.array_equal(np.abs(pairs.vectors), np.abs(v_ref))
@@ -517,8 +550,8 @@ def test_breakdown_falls_back_to_dense():
     diagonal[[7, 300]] = 3.0
     diagonal[-1] = -0.5
     M = np.diag(diagonal)
-    assert sp._lanczos(M, 2, "LA") is None
-    assert sp._lanczos(M, 2, "BE") is None
+    assert _lanczos(M, 2, "LA") is None
+    assert _lanczos(M, 2, "BE") is None
     pairs = sp.sym_eig_top(M, 2)
     assert np.array_equal(pairs.values, [3.0, 3.0])
     assert np.all(pairs.residuals == 0.0)
@@ -536,7 +569,8 @@ def test_import_leaves_arpack_unloaded():
         "from nlspike.distributions import Gaussian\n"
         "loaded = 'scipy.sparse' in sys.modules\n"
         "M = nlspike.sample_wigner(sp._LANCZOS_MIN_N, Gaussian(0, 1), 1)\n"
-        "assert sp._lanczos(M, 2, 'LA') is not None and sp._lanczos(M, 2, 'BE') is not None\n"
+        "b = sp._residual_bound(M)\n"
+        "assert sp._lanczos(M, 2, 'LA', b) is not None and sp._lanczos(M, 2, 'BE', b) is not None\n"
         "sp.sym_eig_top(M, 2), sp.operator_norm(M)\n"
         "print(loaded, 'scipy.sparse' in sys.modules)\n"
     )
@@ -547,13 +581,15 @@ def test_import_leaves_arpack_unloaded():
 
 def test_lanczos_reads_the_triangle_lapack_reads():
     # asymmetry inside the symmetry tolerance: both solvers must see the
-    # same (lower) triangle, or their answers part by about the asymmetry
+    # same (upper) triangle, or their answers part by about the asymmetry
     n = sp._LANCZOS_MIN_N
     M = _matrix("spiked", n, 6, 3.0)
     rng = np.random.default_rng(6)
     M += np.triu(rng.uniform(-0.4, 0.4, (n, n)) * sp.SYMMETRY_RTOL * np.abs(M).max(), 1)
-    w_ref, _ = _dense_top(M, 2)
+    w_ref = eigh(M, lower=False, eigvals_only=True, subset_by_index=[n - 2, n - 1])[::-1]
     assert np.all(np.abs(sp.sym_eig_top(M, 2).values - w_ref) <= 1e-13 * w_ref[0])
-    w_all = eigvalsh(M)
+    w_all = eigvalsh(M, lower=False)
     dense = max(-w_all[0], w_all[-1])
     assert abs(sp.operator_norm(M) - dense) <= 1e-13 * dense
+    w_lower = eigvalsh(M)  # the other triangle's answer parts by about the asymmetry
+    assert abs(max(-w_lower[0], w_lower[-1]) - dense) > 1e-13 * dense
