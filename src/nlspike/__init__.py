@@ -37,8 +37,10 @@ from .matrixgen import (
     SbmSpec,
     SignalVector,
     SpikeParams,
+    UpperTriangle,
     assemble_observation,
     community_signal,
+    mirror_upper,
     rademacher_signal,
     sample_sbm_adjacency,
     sample_wigner,

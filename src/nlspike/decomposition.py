@@ -29,7 +29,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
-from .matrixgen import SbmSpec, SignalVector, SpikeParams, alpha_fraction, form_upper, image_step
+from .matrixgen import SbmSpec, SignalVector, SpikeParams, UpperTriangle, alpha_fraction, form_upper, image_step
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
 
@@ -151,7 +151,7 @@ def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeTerm, ...], lo: int = 0) ->
 
 
 def signal_plus_noise(
-    W: np.ndarray,
+    W: UpperTriangle,
     f: NonlinearFn,
     sp: SpikeParams,
     x: SignalVector,
@@ -160,9 +160,8 @@ def signal_plus_noise(
     """Build the spike terms and measure the operator-norm remainder
     f(W + spike)/sqrt(n) - (f(W)/sqrt(n) + spikes), built in W's buffer:
     each row block's noise image and spikes are formed before the block
-    becomes the observation, then subtracted from it. W is consumed: only
-    its upper triangle is read, and the remainder is formed there and
-    normed without a mirror.
+    becomes the observation, then subtracted from it. W is consumed: the
+    remainder is formed in its upper triangle and normed there.
 
     Each order k >= 1 gives one term on its parity direction under i.i.d.
     noise, and under the block model that term and one on the other
@@ -170,8 +169,8 @@ def signal_plus_noise(
     consistency is the caller's responsibility.
     """
     n = sp.n
-    if W.shape != (n, n) or x.n != n:
-        raise ParameterError(f"dimension mismatch: W {W.shape}, x {x.n}, params n={n}")
+    if W.matrix.shape != (n, n) or x.n != n:
+        raise ParameterError(f"dimension mismatch: W {W.matrix.shape}, x {x.n}, params n={n}")
     if x.kind not in ("rademacher-normalized", "community"):
         raise ParameterError(f"the decomposition needs a +-1/sqrt(n) signal, got kind {x.kind!r}")
     rows = spike_coefficients(f, sp, ensemble)

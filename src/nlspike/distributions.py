@@ -153,8 +153,11 @@ def fill(d, gen: np.random.Generator, z: np.ndarray) -> None:
 @fill.register
 def _(d: Gaussian, gen: np.random.Generator, z: np.ndarray) -> None:
     gen.standard_normal(out=z)
-    z *= d.std
-    z += d.mean
+    # skipped identities; adding 0.0 would also turn a -0.0 draw into +0.0
+    if d.std != 1.0:
+        z *= d.std
+    if d.mean != 0.0:
+        z += d.mean
 
 
 @fill.register

@@ -26,11 +26,9 @@ from ..matrixgen import (
     SbmSpec,
     SpikeParams,
     assemble_observation,
-    form_upper,
-    image_step,
     rademacher_signal,
-    sbm_upper,
-    wigner_upper,
+    sample_sbm_adjacency,
+    sample_wigner,
 )
 from ..nonlinearity import sd_f, sd_f_centered
 from ..rng import derive_seed
@@ -97,10 +95,9 @@ def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
 def _signed_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Top two eigenvalues of the observation and the correlations of the
     top pair with the constant direction and of the second with the signal."""
-    W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
+    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
-    strength = SpikeParams(c, cfg.alpha, n).signal_strength
-    Y = form_upper(W, image_step(cfg.f, n, x.entries, strength))  # assemble_observation, unmirrored
+    Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
     pairs = sym_eig_top(Y, 2)
     ones = np.full(n, 1.0 / math.sqrt(n))
     corr1 = alignment(pairs.vectors[:, 0], ones)
@@ -136,7 +133,7 @@ def _sbm_theory(cfg: ExperimentConfig, c: float) -> dict:
 
 def _decompose_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Operator-norm remainder of the signal-plus-noise approximation."""
-    W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
+    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
     sp = SpikeParams(c, cfg.alpha, n)
     report = signal_plus_noise(W, cfg.f, sp, x, WignerEnsemble(cfg.noise))
@@ -237,13 +234,13 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
     seed = derive_seed(cfg.base_seed, 0)
 
     if cfg.model == "wigner":
-        W = wigner_upper(n, cfg.noise, derive_seed(seed, 0))
+        W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
         x = rademacher_signal(n, derive_seed(seed, 1))
         Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
         sigma = sigma_bar = sd_f(cfg.f, cfg.noise)
         beta = 0.5
     else:
-        Y = transform_and_embed(sbm_upper(_shifted_spec(cfg, n, c), seed), cfg.f)
+        Y = transform_and_embed(sample_sbm_adjacency(_shifted_spec(cfg, n, c), seed), cfg.f)
         sigma = sd_f_centered(cfg.f, cfg.within)
         sigma_bar = sd_f_centered(cfg.f, cfg.across)
         beta = cfg.beta

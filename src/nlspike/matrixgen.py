@@ -1,21 +1,21 @@
 """Noise ensembles, signal vectors, and assembly of the observed matrix.
 
-Matrices are dense, row-major float64. Only the upper triangle (diagonal
-included) is ever computed. The public builders (`sample_wigner`,
-`assemble_observation`, ...) mirror it, so their M[i, j] and M[j, i] are
-the same bits.
+Matrices are dense, row-major float64, and every symmetric one is an
+`UpperTriangle`: a buffer whose upper triangle, diagonal included, holds
+the matrix. Nothing below the diagonal is read, so it is symmetric by
+construction, and the solvers in `spectral` take it without a symmetry
+check. `mirror_upper` fills the lower triangle where a full matrix is
+wanted.
 
-A trial builds its matrix in one n x n buffer. The noise is drawn row by
-row into its upper triangle, and `form_upper` forms the observation there
-in place, in row blocks of BLOCK_ROWS rows, each from its diagonal on. It
-returns an `UpperTriangle`: a symmetric matrix by construction, whose
-entries left of the diagonal squares are never written, and which the
-solvers in `spectral` take without a symmetry check, reading nothing
-below the diagonal. `mirror_upper` fills the lower triangle where a full
-matrix is wanted. No index array, value vector or other n^2-sized
-temporary is made, f runs on about half the entries, and every element
-keeps its IEEE operation, so the bits equal those of the whole-matrix
-form. A trial peaks at about 1.2 buffers by tracemalloc (n = 1024); at
+`sample_wigner` and `sample_sbm_adjacency` draw the noise row by row into
+the upper triangle of a fresh n x n buffer. The builders
+(`assemble_observation`, `sbm.transform_and_embed`,
+`decomposition.signal_plus_noise`) form their matrix there in place with
+`form_upper`, in row blocks of BLOCK_ROWS rows, each from its diagonal on.
+No index array, value vector or other n^2-sized temporary is made, f runs
+on about half the entries, and every element keeps its IEEE operation, so
+the bits equal those of the whole-matrix form. A trial holds that one
+buffer and peaks at about 1.2 of them by tracemalloc (n = 1024); at
 n = 8000 one buffer is 512 MB.
 """
 
@@ -151,47 +151,42 @@ def row_blocks(n: int):
 @dataclass(frozen=True, eq=False)
 class UpperTriangle:
     """The symmetric matrix held in the upper triangle, diagonal included,
-    of a square float64 buffer, as form_upper leaves it: the solvers read
-    nothing below the diagonal, so it is symmetric by construction."""
+    of a square float64 buffer: nothing below the diagonal is read, so it
+    is symmetric by construction."""
 
     matrix: np.ndarray
 
 
-def form_upper(M: np.ndarray, step=None) -> UpperTriangle:
-    """The block pass over M's upper triangle, the only part read, in place:
-    in each row block, mirror the diagonal square (so step sees no unset
-    entry), then let step(lo, hi, B) rewrite B = M[lo:hi, lo:]
-    element-wise. Nothing left of the diagonal squares is read or written."""
+def form_upper(T: UpperTriangle, step) -> UpperTriangle:
+    """The block pass over T's upper triangle, in place: in each row block,
+    mirror the diagonal square (so step sees no unset entry), then let
+    step(lo, hi, B) rewrite B = M[lo:hi, lo:] element-wise. Nothing left of
+    the diagonal squares is read or written. Returns T."""
+    M = T.matrix
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.dtype != np.float64 or not M.flags.writeable:
         raise ParameterError(f"expected a writable square float64 matrix, got {M.dtype} {M.shape}")
     for lo, hi in row_blocks(M.shape[0]):
         square = M[lo:hi, lo:hi]
         np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
-        if step is not None:
-            step(lo, hi, M[lo:hi, lo:])
-    return UpperTriangle(M)
+        step(lo, hi, M[lo:hi, lo:])
+    return T
 
 
 def mirror_upper(M: np.ndarray) -> np.ndarray:
-    """Copy M's upper triangle into the rows' parts left of their diagonal
-    squares, which form_upper leaves unset, in place. Returns M."""
-    for lo, hi in row_blocks(M.shape[0]):
-        M[lo:hi, :lo] = M[:lo, lo:hi].T
+    """Copy M's upper triangle into its strict lower one, in place, making
+    M the full symmetric matrix of an UpperTriangle's buffer. Returns M."""
+    for lo, hi in row_blocks(M.shape[0]):  # rows lo:hi, columns j < i
+        np.copyto(M[lo:hi, :hi], M[:hi, lo:hi].T, where=np.tri(hi - lo, hi, lo - 1, dtype=bool))
     return M
 
 
-def symmetrize_upper(M: np.ndarray, step=None) -> np.ndarray:
-    """form_upper, then mirror_upper: M made exactly symmetric in place from
-    its upper triangle, with step applied. Returns M."""
-    return mirror_upper(form_upper(M, step).matrix)
-
-
-def _draw_upper(n: int, n_plus: int, laws, gens) -> np.ndarray:
-    """n x n buffer whose upper triangle holds draws of laws[0] within the
-    blocks split at n_plus and of laws[1] across; each law's stream fills
-    its entries in row-major order. Row i's upper part is one run within,
-    [i, n_plus) or [i, n), and above the split one run across, [n_plus, n);
-    each block of rows draws each law's runs in one fill."""
+def _draw_upper(n: int, n_plus: int, laws, gens) -> UpperTriangle:
+    """Fresh n x n buffer whose upper triangle holds draws of laws[0] within
+    the blocks split at n_plus and of laws[1] across; each law's stream
+    fills its entries in row-major order. Row i's upper part is one run
+    within, [i, n_plus) or [i, n), and above the split one run across,
+    [n_plus, n); each block of rows draws each law's runs in one fill.
+    Nothing below the diagonal is written."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     out = np.empty((n, n))
@@ -208,29 +203,19 @@ def _draw_upper(n: int, n_plus: int, laws, gens) -> np.ndarray:
                 for i, start, end in row_runs:
                     out[i, start:end] = values[at : at + end - start]
                     at += end - start
-    return out
+    return UpperTriangle(out)
 
 
-def wigner_upper(n: int, d: Distribution, seed: int) -> np.ndarray:
-    """sample_wigner's upper triangle; the rest is left unwritten."""
+def sample_wigner(n: int, d: Distribution, seed: int) -> UpperTriangle:
+    """Symmetric n x n matrix with i.i.d. entries on and above the diagonal."""
     return _draw_upper(n, n, (d, d), (generator(seed), None))
 
 
-def sample_wigner(n: int, d: Distribution, seed: int) -> np.ndarray:
-    """Symmetric n x n matrix with i.i.d. entries on and above the diagonal."""
-    return symmetrize_upper(wigner_upper(n, d, seed))
-
-
-def sbm_upper(spec: SbmSpec, seed: int) -> np.ndarray:
-    """sample_sbm_adjacency's upper triangle; the rest is left unwritten."""
+def sample_sbm_adjacency(spec: SbmSpec, seed: int) -> UpperTriangle:
+    """Weighted adjacency: within-block entries (diagonal included) from
+    `within`, cross-block from `across`."""
     gens = generator(derive_seed(seed, 0)), generator(derive_seed(seed, 1))
     return _draw_upper(spec.n, spec.n_plus, (spec.within, spec.across), gens)
-
-
-def sample_sbm_adjacency(spec: SbmSpec, seed: int) -> np.ndarray:
-    """Weighted adjacency: within-block entries (diagonal included) from
-    `within`, cross-block from `across`; symmetric by mirroring."""
-    return symmetrize_upper(sbm_upper(spec, seed))
 
 
 def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: float = 0.0):
@@ -249,14 +234,12 @@ def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: f
 
 
 def assemble_observation(
-    W: np.ndarray, f: NonlinearFn, sp: SpikeParams, x: SignalVector | np.ndarray
-) -> np.ndarray:
-    """Y = f(W + lambda sqrt(n) x x^T) / sqrt(n), built in W's buffer and
-    returned: W is consumed, and only its upper triangle is read."""
+    W: UpperTriangle, f: NonlinearFn, sp: SpikeParams, x: SignalVector | np.ndarray
+) -> UpperTriangle:
+    """Y = f(W + lambda sqrt(n) x x^T) / sqrt(n), built in W's buffer: W is
+    consumed and returned as Y."""
     xv = x.entries if isinstance(x, SignalVector) else np.asarray(x, dtype=float)
     n = sp.n
-    if W.shape != (n, n) or len(xv) != n:
-        raise ParameterError(
-            f"dimension mismatch: W {W.shape}, x {len(xv)}, params n={n}"
-        )
-    return symmetrize_upper(W, image_step(f, n, xv, sp.signal_strength))
+    if W.matrix.shape != (n, n) or len(xv) != n:
+        raise ParameterError(f"dimension mismatch: W {W.matrix.shape}, x {len(xv)}, params n={n}")
+    return form_upper(W, image_step(f, n, xv, sp.signal_strength))

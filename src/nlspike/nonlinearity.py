@@ -135,17 +135,22 @@ def derivative(f: NonlinearFn, k: int) -> NonlinearFn:
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray):
     """sum_j coeffs[j] x^j as out = out * x + c from the top coefficient,
-    updated in place from out = x * c_top. For finite x that is the bits of
-    the out-of-place form from zeros, (0 * x + c_top) * x + ..., whenever
-    c_top is not -0.0 (Polynomial trims a zero top coefficient, and a
-    constant is read with a top coefficient 0.0)."""
+    updated in place from out = x * c_top + c_next, or x + c_next when
+    c_top is 1.0 (x * 1.0 is x, -0.0 and NaN included). For finite x that
+    is the bits of the out-of-place form from zeros,
+    (0 * x + c_top) * x + ..., whenever c_top is not -0.0 (Polynomial trims
+    a zero top coefficient, and a constant is read with a top coefficient
+    0.0)."""
     if len(coeffs) == 1:
         coeffs = (coeffs[0], 0.0)
-    out = x * coeffs[-1]
-    for c in coeffs[-2:0:-1]:
-        out += c
+    if coeffs[-1] == 1.0:
+        out = x + coeffs[-2]
+    else:
+        out = x * coeffs[-1]
+        out += coeffs[-2]
+    for c in coeffs[-3::-1]:
         out *= x
-    out += coeffs[0]
+        out += c
     return out[()]  # a scalar for 0-d input, as out-of-place numpy gives
 
 

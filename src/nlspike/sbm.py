@@ -12,15 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .matrixgen import SbmSpec, community_signal, form_upper, image_step, sbm_upper, symmetrize_upper
+from .matrixgen import SbmSpec, UpperTriangle, community_signal, form_upper, image_step, sample_sbm_adjacency
 from .nonlinearity import NonlinearFn
-from .spectral import sym_eig_top
+from .spectral import _readable, sym_eig_top
 
 
-def transform_and_embed(A: np.ndarray, f: NonlinearFn) -> np.ndarray:
-    """f(A) / sqrt(n), element-wise, built in A's buffer and returned: A is
-    consumed, and only its upper triangle is read."""
-    return symmetrize_upper(A, image_step(f, A.shape[0]))
+def transform_and_embed(A: UpperTriangle, f: NonlinearFn) -> UpperTriangle:
+    """f(A) / sqrt(n), element-wise, built in A's buffer: A is consumed and
+    returned as the image."""
+    return form_upper(A, image_step(f, A.matrix.shape[0]))
 
 
 def _sign_labels(v: np.ndarray) -> np.ndarray:
@@ -28,17 +28,19 @@ def _sign_labels(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, 1.0, -1.0)
 
 
-def recover_communities(Y: np.ndarray, which: int) -> np.ndarray:
-    """+-1 labels from the sign pattern of the `which`-th top eigenvector.
+def recover_communities(Y: np.ndarray | UpperTriangle, which: int) -> np.ndarray:
+    """+-1 labels from the sign pattern of the `which`-th top eigenvector
+    of Y, taken as sym_eig_top takes it.
 
     Zero entries map to +1; the global sign follows the eigensolver's
     deterministic convention.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
-    if Y.shape[0] < 2:
+    M = _readable(Y)
+    if M.shape[0] < 2:
         raise ParameterError("need dimension >= 2 to recover two communities")
-    pairs = sym_eig_top(Y, which)
+    pairs = sym_eig_top(UpperTriangle(M), which)
     return _sign_labels(pairs.vectors[:, which - 1])
 
 
@@ -71,7 +73,7 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     f and the block laws, not of the trial: it is
     RegimePrediction.which_eigenpair of `sbm_recovery_prediction`.
     """
-    Y = form_upper(sbm_upper(spec, seed), image_step(f, spec.n))  # transform_and_embed, unmirrored
+    Y = transform_and_embed(sample_sbm_adjacency(spec, seed), f)
     k = min(4, spec.n)
     pairs = sym_eig_top(Y, k)
     top4 = tuple(float(v) for v in pairs.values) + (float("nan"),) * (4 - k)

@@ -4,15 +4,16 @@ Every solver reads only the upper triangle of its matrix, diagonal
 included, as LAPACK's symmetric routines read one triangle: the Lanczos
 matvec is BLAS dsymv on the lower triangle of the Fortran-ordered view
 M.T (no copy), and `eigh` / `eigvalsh` run on M.T with lower=True.
-`sym_eig_top` and `operator_norm` take either a caller's matrix, which
-`_check_symmetric` scans in full (square, finite, symmetric within
-SYMMETRY_RTOL), or a `matrixgen.UpperTriangle`, which the trials build
-with `form_upper` and which is symmetric by construction: nothing below
-its diagonal is read, so it is not scanned. Both then call one solver
-core, `_solve`. Before its first matvec the core takes ||M||_F in one
-pass over the triangle (`_residual_bound`); a NaN or inf entry makes it
-non-finite and raises ContractError, so finiteness is checked on every
-path, and the finite norm is the residual gate's bound.
+`sym_eig_top`, `operator_norm` and `esd_histogram` take either a
+caller's matrix, which `_check_symmetric` scans in full (square, finite,
+symmetric within SYMMETRY_RTOL), or a `matrixgen.UpperTriangle`, the form
+every builder in the package returns, which is symmetric by
+construction: nothing below its diagonal is read, so it is not scanned.
+Each then takes ||M||_F in one pass over the triangle
+(`_residual_bound`); a NaN or inf entry makes it non-finite and raises
+ContractError, so finiteness is checked on every path. The first two
+call one solver core, `_solve`, which takes that norm before its first
+matvec and bounds the residual gate with it.
 
 The extremal eigenpairs come from one Lanczos solver once n >=
 _LANCZOS_MIN_N: Lanczos without restarts, from a fixed start vector, so
@@ -356,22 +357,24 @@ def alignment(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def esd_histogram(
-    M: np.ndarray, bin_count: int, bounds: tuple[float, float]
+    M: np.ndarray | UpperTriangle, bin_count: int, bounds: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue histogram normalized against the FULL spectrum count.
 
     sum(density * width) equals the fraction of eigenvalues inside
     [lo, hi); eigenvalues outside the range are excluded but still count
-    in the denominator. M is consumed: LAPACK works in its buffer, read as
-    the Fortran-ordered M.T, whose lower triangle is M's upper one.
+    in the denominator. M is taken as sym_eig_top takes it and consumed:
+    LAPACK works in its buffer, read as the Fortran-ordered M.T, whose
+    lower triangle is M's upper one.
     """
     lo, hi = bounds
     if bin_count < 1:
         raise ParameterError(f"bin_count must be >= 1, got {bin_count}")
     if not (lo < hi):
         raise ParameterError(f"need lo < hi, got ({lo}, {hi})")
-    M = _check_symmetric(M)
-    w = eigvalsh(M.T, overwrite_a=True, check_finite=False)
+    M = _readable(M)
+    _residual_bound(M)  # the finiteness check, which an UpperTriangle skips in _readable
+    w = eigvalsh(M.T, lower=True, overwrite_a=True, check_finite=False)
     counts, edges = np.histogram(w, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)

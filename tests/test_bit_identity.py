@@ -4,9 +4,10 @@ The reference functions below are the earlier implementations, kept
 verbatim: one whole-vector draw per law, fancy-index mirroring through
 triu/tril index arrays, the `is_within` mask for the block model,
 `W + s xx^T -> f -> / sqrt(n)` on whole matrices, the remainder against
-a dense `noise + sum of spikes`, and Horner's rule from zeros. The builders consume their input
-matrix and read only its upper triangle, so they get a copy, or a copy
-whose strict lower triangle is NaN. Every comparison is bit for bit
+a dense `noise + sum of spikes`, and Horner's rule from zeros. The builders
+return an `UpperTriangle`, whose full matrix `mirror_upper` gives, and
+consume one, reading only its upper triangle, so they get a copy whose
+strict lower triangle is NaN. Every comparison is bit for bit
 (`np.array_equal` or `==`), not approximate.
 """
 
@@ -22,8 +23,10 @@ from nlspike.decomposition import SbmEnsemble, WignerEnsemble, _dense_sum, signa
 from nlspike.matrixgen import (
     SbmSpec,
     SpikeParams,
+    UpperTriangle,
     assemble_observation,
     community_signal,
+    mirror_upper,
     rademacher_signal,
     sample_sbm_adjacency,
     sample_wigner,
@@ -116,10 +119,16 @@ def _old_horner(coeffs, x):
 
 
 def _nan_below(M):
-    """Copy of M whose strict lower triangle is NaN, the part no builder reads."""
+    """Copy of M whose strict lower triangle is NaN, the part no builder
+    reads, as an UpperTriangle."""
     out = M.copy()
     out[np.tril_indices(len(M), -1)] = np.nan
-    return out
+    return UpperTriangle(out)
+
+
+def _dense(T):
+    """The full symmetric matrix of an UpperTriangle, mirrored in its buffer."""
+    return mirror_upper(T.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +164,7 @@ def test_chunked_fill_matches_single_draw(d, seed, chunks):
 @example(513, LAWS[0], 5)
 @settings(max_examples=30, deadline=None)
 def test_sample_wigner_matches_fancy_index_mirror(n, d, seed):
-    assert np.array_equal(sample_wigner(n, d, seed), _old_sample_wigner(n, d, seed))
+    assert np.array_equal(_dense(sample_wigner(n, d, seed)), _old_sample_wigner(n, d, seed))
 
 
 @given(st.integers(2, 600), st.integers(0, 10**6), SEEDS)
@@ -169,7 +178,7 @@ def test_sample_sbm_adjacency_matches_masked_fill(n, k, seed):
     n_plus = 1 + 2 * (k % (n // 2))  # odd, in [1, n - 1]
     spec = SbmSpec(n, n_plus / n, dist.Gaussian(0.3, 1.0), dist.Uniform(-1.0, 0.4))
     assert spec.n_plus == n_plus
-    assert np.array_equal(sample_sbm_adjacency(spec, seed), _old_sample_sbm_adjacency(spec, seed))
+    assert np.array_equal(_dense(sample_sbm_adjacency(spec, seed)), _old_sample_sbm_adjacency(spec, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +191,23 @@ ZEROS = st.sampled_from([0.0, -0.0])
 
 @given(
     st.lists(FINITE, min_size=1, max_size=8),
+    st.booleans(),
     st.integers(0, 3),
     st.lists(st.one_of(FINITE, ZEROS), min_size=1, max_size=40),
 )
-@example([-1.0, -3.0, 1.0, 1.0], 0, [0.0, -0.0, 1.0, -2.5, 1e300])  # He2 + He3
-@example([-0.0], 0, [0.0, -0.0, 3.0, -3.0])  # a constant -0.0
-@example([2.0, -0.0], 2, [0.0, -0.0, 3.0, -3.0])
+@example([-1.0, -3.0, 1.0, 1.0], False, 0, [0.0, -0.0, 1.0, -2.5, 1e300])  # He2 + He3
+@example([-0.0], False, 0, [0.0, -0.0, 3.0, -3.0])  # a constant -0.0
+@example([2.0, -0.0], False, 2, [0.0, -0.0, 3.0, -3.0])
+@example([-0.0], True, 0, [0.0, -0.0, 3.0, -3.0])  # x - 0.0, from x + c_next
+@example([0.0], True, 0, [0.0, -0.0, 1e308, -1e308])  # x + 0.0 turns -0.0 into +0.0
 @settings(max_examples=200, deadline=None)
-def test_horner_matches_the_form_from_zeros(coeffs, top_zeros, xs):
+def test_horner_matches_the_form_from_zeros(coeffs, monic, top_zeros, xs):
     """Zero top coefficients too: evaluate never passes them (Polynomial
     trims them), but the two forms agree on them for finite x. A top -0.0
-    is the one exception, (0 * x - 0.0) * x = +0.0 against x * -0.0."""
-    coeffs = tuple(coeffs) + (0.0,) * top_zeros
+    is the one exception, (0 * x - 0.0) * x = +0.0 against x * -0.0. A top
+    coefficient of exactly 1.0 (monic, when no zeros follow it) starts
+    from x + c_next."""
+    coeffs = tuple(coeffs) + (1.0,) * monic + (0.0,) * top_zeros
     assume(math.copysign(1.0, coeffs[-1]) > 0.0 or len(coeffs) == 1)
     x = np.array(xs)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,13 +244,13 @@ def test_tanh_derivatives_match_the_form_from_zeros(order, xs):
 @example(513, TANH, 2.0, 0.0, 5)
 @settings(max_examples=30, deadline=None)
 def test_assemble_observation_matches_whole_matrix_form(n, f, c, alpha, seed):
-    W = sample_wigner(n, dist.Gaussian(0.0, 1.0), derive_seed(seed, 0))
+    W = _dense(sample_wigner(n, dist.Gaussian(0.0, 1.0), derive_seed(seed, 0)))
     x = rademacher_signal(n, derive_seed(seed, 1))
     sp = SpikeParams(c, alpha, n)
     buffer = _nan_below(W)
     Y = assemble_observation(buffer, f, sp, x)
     assert Y is buffer
-    assert np.array_equal(Y, _old_assemble_observation(W, f, sp, x))
+    assert np.array_equal(_dense(Y), _old_assemble_observation(W, f, sp, x))
 
 
 @given(st.integers(2, 600), st.sampled_from([HE2_HE3, TANH, ABS]), SEEDS)
@@ -246,11 +260,11 @@ def test_assemble_observation_matches_whole_matrix_form(n, f, c, alpha, seed):
 @settings(max_examples=20, deadline=None)
 def test_transform_and_embed_matches_whole_matrix_form(n, f, seed):
     spec = SbmSpec(n, (n // 2) / n, dist.Gaussian(0.3, 1.0), dist.Uniform(-1.0, 0.4))
-    A = sample_sbm_adjacency(spec, seed)
+    A = _dense(sample_sbm_adjacency(spec, seed))
     buffer = _nan_below(A)
     Y = transform_and_embed(buffer, f)
     assert Y is buffer
-    assert np.array_equal(Y, _old_transform_and_embed(A, f))
+    assert np.array_equal(_dense(Y), _old_transform_and_embed(A, f))
 
 
 @given(
@@ -272,14 +286,14 @@ def test_transform_and_embed_matches_whole_matrix_form(n, f, seed):
 def test_remainder_norm_matches_dense_sum(n, f, c, alpha, seed, model):
     if model == "wigner":
         law = dist.Gaussian(0.0, 1.0)
-        W = sample_wigner(n, law, derive_seed(seed, 0))
+        W = _dense(sample_wigner(n, law, derive_seed(seed, 0)))
         x = rademacher_signal(n, derive_seed(seed, 1))
         ensemble = WignerEnsemble(law)
     else:
         assume(n >= 2)
         laws = (dist.Gaussian(0.0, 1.0),) * 2 if model == "sbm-equal-laws" else SBM_CENTERED_LAWS
         spec = SbmSpec(n, (n // 2) / n, *laws)
-        W = sample_sbm_adjacency(spec, seed)
+        W = _dense(sample_sbm_adjacency(spec, seed))
         x, _ = community_signal(n, spec.beta)
         ensemble = SbmEnsemble(spec)
     sp = SpikeParams(c, alpha, n)

@@ -19,6 +19,8 @@ from nlspike.matrixgen import (
     SpikeParams,
     community_signal,
     rademacher_signal,
+    UpperTriangle,
+    mirror_upper,
     row_blocks,
     sample_sbm_adjacency,
     sample_wigner,
@@ -159,15 +161,15 @@ def test_signal_plus_noise_zero_strength_has_zero_remainder():
 
 def test_signal_plus_noise_consistency_invariant():
     n = 150
-    W = sample_wigner(n, STD_NORMAL, seed=5)
+    W = mirror_upper(sample_wigner(n, STD_NORMAL, seed=5).matrix)
     x = rademacher_signal(n, seed=6)
     sp = SpikeParams(1.2, 0.25, n)
-    report = dc.signal_plus_noise(W.copy(), F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
+    report = dc.signal_plus_noise(UpperTriangle(W.copy()), F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
     # independent recomputation of the remainder from materialized parts
     from nlspike.matrixgen import assemble_observation
     from nlspike.nonlinearity import apply_elementwise
 
-    Y = assemble_observation(W.copy(), F_CUBIC, sp, x)
+    Y = mirror_upper(assemble_observation(UpperTriangle(W.copy()), F_CUBIC, sp, x).matrix)
     approx = dc._dense_sum(apply_elementwise(F_CUBIC, W) / math.sqrt(n), report.spikes)
     independent = operator_norm(Y - approx)
     assert report.remainder_norm == pytest.approx(independent, abs=1e-10)
@@ -177,14 +179,14 @@ def test_signal_plus_noise_sbm_rank_two():
     n = 64
     spec = SbmSpec(n, 0.5, Gaussian(0.3, 1.0), Gaussian(-0.3, 1.0))
     u, labels = community_signal(n, 0.5)
-    A = sample_sbm_adjacency(spec, seed=7)
+    A = mirror_upper(sample_sbm_adjacency(spec, seed=7).matrix)
     delta = mean(spec.within) - mean(spec.across)
     expected_mean = (delta / 2.0) * np.outer(labels, labels)
     W = A - expected_mean
     lam = delta * math.sqrt(n) / 2.0
     alpha = 0.0
     c = lam  # n^0 = 1
-    report = dc.signal_plus_noise(W, F_SBM, SpikeParams(c, alpha, n), u, SbmEnsemble(spec))
+    report = dc.signal_plus_noise(UpperTriangle(W), F_SBM, SpikeParams(c, alpha, n), u, SbmEnsemble(spec))
     assert report.ell == 1
     kinds = {(t.k, t.direction_kind) for t in report.spikes}
     assert kinds == {(1, "ones"), (1, "signal")}

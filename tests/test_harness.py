@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlspike import decomposition, sbm, spectral
+from nlspike import decomposition, matrixgen, sbm, spectral
 from nlspike.errors import ConfigError, FormatError
 from nlspike.harness import (
     emit_plot,
@@ -387,12 +387,17 @@ def test_trial_solves_read_only_the_upper_triangle(monkeypatch, kernel, n):
             assert np.array_equal(getattr(got, field), getattr(checked, field))
 
 
-@pytest.mark.parametrize("kernel", list(TRIAL_KERNELS))
-def test_trial_kernels_skip_the_symmetry_scan_and_the_mirror(monkeypatch, kernel):
-    """No trial kernel calls _check_symmetric, and none writes left of its
-    diagonal squares: NaN put there after the draw is still there at the
-    solve, and the trial's row is finite."""
-    module, name, _, _ = TRIAL_KERNELS[kernel]
+# run_esd's models -> config overrides; esd_histogram is its solver
+ESD_RUNS = {"esd": ESD_RAW, "esd-sbm": SBM_RAW | ESD_RAW | {"model": "sbm"}}
+
+
+@pytest.mark.parametrize("kernel", [*TRIAL_KERNELS, *ESD_RUNS])
+def test_trial_kernels_skip_the_symmetry_scan_and_the_mirror(monkeypatch, tmp_path, kernel):
+    """No trial kernel, nor run_esd, calls _check_symmetric or mirror_upper,
+    and none writes left of its diagonal squares: NaN put there after the
+    draw is still there at the solve, and the trial's row (esd's
+    histogram) is finite."""
+    module, name = (sweeps, "esd_histogram") if kernel in ESD_RUNS else TRIAL_KERNELS[kernel][:2]
     n = spectral._LANCZOS_MIN_N + 100
     solve = getattr(spectral, name)
     checked = []
@@ -401,7 +406,7 @@ def test_trial_kernels_skip_the_symmetry_scan_and_the_mirror(monkeypatch, kernel
         def drawn(*args):
             M = draw(*args)
             for lo, hi in row_blocks(n):
-                M[lo:hi, :lo] = np.nan
+                M.matrix[lo:hi, :lo] = np.nan
             return M
 
         return drawn
@@ -413,11 +418,20 @@ def test_trial_kernels_skip_the_symmetry_scan_and_the_mirror(monkeypatch, kernel
     def no_scan(M):
         raise AssertionError("a trial kernel scanned its matrix for symmetry")
 
+    def no_mirror(M):
+        raise AssertionError("a trial kernel mirrored its matrix")
+
     monkeypatch.setattr(spectral, "_check_symmetric", no_scan)
-    monkeypatch.setattr(sweeps, "wigner_upper", nan_left_of_squares(sweeps.wigner_upper))
-    monkeypatch.setattr(sbm, "sbm_upper", nan_left_of_squares(sbm.sbm_upper))
+    monkeypatch.setattr(matrixgen, "mirror_upper", no_mirror)
+    monkeypatch.setattr(sweeps, "sample_wigner", nan_left_of_squares(sweeps.sample_wigner))
+    for drawer in (sweeps, sbm):
+        monkeypatch.setattr(drawer, "sample_sbm_adjacency", nan_left_of_squares(drawer.sample_sbm_adjacency))
     monkeypatch.setattr(module, name, untouched)
-    row = _run_kernel(kernel, n)
+    if kernel in ESD_RUNS:
+        cfg = parse_config(sweep_cfg(n_list=[n], c_grid=[2.6], **ESD_RUNS[kernel]))
+        row = load_table(sweeps.run_esd(cfg, tmp_path)["csv"])["y"]
+    else:
+        row = _run_kernel(kernel, n)
     assert checked == [True]
     assert all(math.isfinite(v) for v in row)
 

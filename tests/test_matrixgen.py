@@ -9,12 +9,17 @@ from nlspike.decomposition import ell_of_alpha
 from nlspike.distributions import Gaussian, Rademacher
 from nlspike.errors import ParameterError
 from nlspike.harness import parse_config
-from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams
+from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams, UpperTriangle, mirror_upper, row_blocks
 from nlspike.nonlinearity import Polynomial
 from nlspike.spectral import operator_norm
 
 IDENTITY = Polynomial([0.0, 1.0])
 SQUARE = Polynomial([0.0, 0.0, 1.0])
+
+
+def _dense(T):
+    """The full symmetric matrix of an UpperTriangle, mirrored in its buffer."""
+    return mirror_upper(T.matrix)
 
 
 def test_spike_params_validation():
@@ -64,16 +69,16 @@ def test_spike_params_reject_a_string_alpha():
 
 
 def test_wigner_symmetric_and_support():
-    M = mg.sample_wigner(6, Rademacher(0.5), seed=1)
+    M = _dense(mg.sample_wigner(6, Rademacher(0.5), seed=1))
     assert np.array_equal(M, M.T)
     assert set(np.unique(M)) <= {-1.0, 1.0}
 
 
 def test_wigner_determinism():
-    a = mg.sample_wigner(50, Gaussian(0, 1), seed=9)
-    b = mg.sample_wigner(50, Gaussian(0, 1), seed=9)
+    a = _dense(mg.sample_wigner(50, Gaussian(0, 1), seed=9))
+    b = _dense(mg.sample_wigner(50, Gaussian(0, 1), seed=9))
     assert np.array_equal(a, b)
-    c = mg.sample_wigner(50, Gaussian(0, 1), seed=10)
+    c = _dense(mg.sample_wigner(50, Gaussian(0, 1), seed=10))
     assert not np.array_equal(a, c)
 
 
@@ -116,7 +121,7 @@ def test_assemble_observation_hand_example():
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = SignalVector(np.array([1.0, 1.0]) / math.sqrt(2.0), "custom")
     sp = SpikeParams(1.0, 0.0, 2)
-    Y = mg.assemble_observation(W, SQUARE, sp, x)
+    Y = _dense(mg.assemble_observation(UpperTriangle(W), SQUARE, sp, x))
     s = math.sqrt(2.0) * 0.5
     expected = np.array(
         [
@@ -131,13 +136,13 @@ def test_assemble_observation_hand_example():
 
 def test_assemble_observation_degenerate_cases():
     n = 30
-    W = mg.sample_wigner(n, Gaussian(0, 1), seed=4)
+    W = _dense(mg.sample_wigner(n, Gaussian(0, 1), seed=4))
     x = mg.rademacher_signal(n, seed=5)
-    zero_lam = mg.assemble_observation(W.copy(), IDENTITY, SpikeParams(0.0, 0.25, n), x)
+    zero_lam = _dense(mg.assemble_observation(UpperTriangle(W.copy()), IDENTITY, SpikeParams(0.0, 0.25, n), x))
     assert np.array_equal(zero_lam, W / math.sqrt(n))
 
     zero_x = SignalVector(np.zeros(n), "custom")
-    noise_only = mg.assemble_observation(W.copy(), SQUARE, SpikeParams(3.0, 0.25, n), zero_x)
+    noise_only = _dense(mg.assemble_observation(UpperTriangle(W.copy()), SQUARE, SpikeParams(3.0, 0.25, n), zero_x))
     assert np.array_equal(noise_only, W**2 / math.sqrt(n))
 
 
@@ -145,25 +150,30 @@ def test_assemble_observation_dimension_mismatch():
     W = np.zeros((4, 4))
     x = SignalVector(np.zeros(3), "custom")
     with pytest.raises(ParameterError):
-        mg.assemble_observation(W, IDENTITY, SpikeParams(1.0, 0.0, 4), x)
+        mg.assemble_observation(UpperTriangle(W), IDENTITY, SpikeParams(1.0, 0.0, 4), x)
 
 
 def test_identity_f_reproduces_linear_model():
     n = 50
-    W = mg.sample_wigner(n, Gaussian(0, 1), seed=8)
+    W = _dense(mg.sample_wigner(n, Gaussian(0, 1), seed=8))
     x = mg.rademacher_signal(n, seed=9)
     for c, alpha in ((0.7, 0.0), (2.0, 0.25), (1.3, 1.0 / 3.0)):
         sp = SpikeParams(c, alpha, n)
-        Y = mg.assemble_observation(W.copy(), IDENTITY, sp, x)
+        Y = _dense(mg.assemble_observation(UpperTriangle(W.copy()), IDENTITY, sp, x))
         linear = W / math.sqrt(n) + sp.signal_strength * np.outer(x.entries, x.entries)
         assert np.max(np.abs(Y - linear)) <= 1e-12
 
 
 def test_assemble_observation_symmetric_bit_exact():
-    n = 40
+    # the block pass transforms both halves of each diagonal square alike
+    n = 150
     W = mg.sample_wigner(n, Gaussian(0, 1), seed=12)
     x = mg.rademacher_signal(n, seed=13)
     Y = mg.assemble_observation(W, Polynomial([-1.0, -3.0, 1.0, 1.0]), SpikeParams(1.5, 0.3, n), x)
+    for lo, hi in row_blocks(n):
+        square = Y.matrix[lo:hi, lo:hi]
+        assert np.array_equal(square, square.T)
+    Y = _dense(Y)
     assert np.array_equal(Y, Y.T)
 
 
@@ -176,14 +186,14 @@ def test_sbm_spec_validation():
 
 def test_sbm_zero_noise_point_masses():
     spec = SbmSpec(2, 0.5, Gaussian(1.0, 0.0), Gaussian(-1.0, 0.0))
-    A = mg.sample_sbm_adjacency(spec, seed=0)
+    A = _dense(mg.sample_sbm_adjacency(spec, seed=0))
     assert np.array_equal(A, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_sbm_block_means_clt():
     delta = 0.2
     spec = SbmSpec(2000, 0.5, Gaussian(delta / 2, 1.0), Gaussian(-delta / 2, 1.0))
-    A = mg.sample_sbm_adjacency(spec, seed=21)
+    A = _dense(mg.sample_sbm_adjacency(spec, seed=21))
     assert np.array_equal(A, A.T)
     n_plus = spec.n_plus
     within_block = A[:n_plus, :n_plus]
@@ -200,7 +210,7 @@ def test_sbm_mean_structure_rank_one():
     acc = np.zeros((n, n))
     reps = 400
     for t in range(reps):
-        acc += mg.sample_sbm_adjacency(spec, seed=1000 + t)
+        acc += _dense(mg.sample_sbm_adjacency(spec, seed=1000 + t))
     acc /= reps
     _, labels = mg.community_signal(n, 0.5)
     expected = (delta / 2.0) * np.outer(labels, labels)

@@ -83,6 +83,8 @@ def test_tracer_records_sweep_layers_without_error(tmp_path):
     layers = {s.layer for s in tracer.spans}
     assert {
         "spectral.eig_top",
+        "matrixgen.sample",
+        "matrixgen.assemble",
         "nonlinearity.apply",
         "distributions.sample",
         "decomposition.report",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlspike import sbm
 from nlspike.distributions import Gaussian, mean
 from nlspike.errors import ParameterError
-from nlspike.matrixgen import SbmSpec, community_signal, sample_sbm_adjacency
+from nlspike.matrixgen import SbmSpec, UpperTriangle, community_signal, mirror_upper, sample_sbm_adjacency
 from nlspike.nonlinearity import Polynomial, hermite_fn
 from nlspike.spectral import esd_histogram
 from nlspike.theory import spectral_density_from_qve
@@ -20,19 +20,20 @@ ODD_CUBIC = hermite_fn({3: 1.0})
 
 def test_transform_and_embed_examples():
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    out = sbm.transform_and_embed(A.copy(), IDENTITY)
-    assert np.array_equal(out, A / math.sqrt(2.0))
+    out = sbm.transform_and_embed(UpperTriangle(A.copy()), IDENTITY)
+    assert np.array_equal(mirror_upper(out.matrix), A / math.sqrt(2.0))
 
     sq = Polynomial([0.0, 0.0, 1.0])
-    out2 = sbm.transform_and_embed(A, sq)
-    assert out2 is A
-    assert np.allclose(out2, np.ones((2, 2)) / math.sqrt(2.0), atol=1e-15)
-    assert np.array_equal(out2, out2.T)
+    T = UpperTriangle(A)
+    out2 = sbm.transform_and_embed(T, sq)
+    assert out2 is T and out2.matrix is A
+    assert np.array_equal(out2.matrix, out2.matrix.T)  # one diagonal square, no mirror
+    assert np.allclose(mirror_upper(out2.matrix), np.ones((2, 2)) / math.sqrt(2.0), atol=1e-15)
 
     # the image is built in the input's buffer, which must be able to hold it
     for bad in (np.ones((2, 3)), np.ones((2, 2), dtype=int), np.ones((2, 2))[None]):
         with pytest.raises(ParameterError):
-            sbm.transform_and_embed(bad, IDENTITY)
+            sbm.transform_and_embed(UpperTriangle(bad), IDENTITY)
 
 
 def test_recover_communities_exact_rank_one():

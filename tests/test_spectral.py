@@ -24,7 +24,6 @@ from nlspike.matrixgen import (
     mirror_upper,
     rademacher_signal,
     sample_wigner,
-    wigner_upper,
 )
 from nlspike.nonlinearity import hermite_fn
 from nlspike.rng import derive_seed
@@ -32,6 +31,11 @@ from nlspike.theory import semicircle_density
 
 
 HE2_HE3 = hermite_fn({2: 1.0, 3: 1.0})  # the signed sweep's f
+
+
+def _dense_wigner(n, d, seed):
+    """sample_wigner's matrix, mirrored into a full one."""
+    return mirror_upper(sample_wigner(n, d, seed).matrix)
 
 
 def power_iteration_norm(M, iterations=10_000, seed=0):
@@ -121,7 +125,7 @@ def test_symmetry_check_finds_one_asymmetric_pair(n, place):
         "boundary-col": (255, 256),
         "last-diag-block": (n - 1, n - 2),
     }[place]
-    M = sample_wigner(n, Gaussian(0, 1), seed=n)
+    M = _dense_wigner(n, Gaussian(0, 1), seed=n)
     M[i, j] += 1e-3
     figure = _whole_matrix_asymmetry_figure(M)
     with pytest.raises(ContractError, match=f"relative asymmetry {re.escape(figure)}$"):
@@ -130,7 +134,7 @@ def test_symmetry_check_finds_one_asymmetric_pair(n, place):
 
 @pytest.mark.parametrize("n", [257, 600])
 def test_symmetry_check_tolerance_edge(n):
-    M = sample_wigner(n, Gaussian(0, 1), seed=n + 1)
+    M = _dense_wigner(n, Gaussian(0, 1), seed=n + 1)
     scale = np.max(np.abs(M))
     base = M[n - 1, 255]
     M[n - 1, 255] = base + 0.5 * sp.SYMMETRY_RTOL * scale
@@ -171,7 +175,7 @@ def test_operator_norm_examples():
 
 @pytest.mark.parametrize("n,seed", [(60, 0), (200, 1), (500, 2)])
 def test_operator_norm_matches_power_iteration_oracle(n, seed):
-    M = sample_wigner(n, Gaussian(0, 1), seed=seed)
+    M = _dense_wigner(n, Gaussian(0, 1), seed=seed)
     got = sp.operator_norm(M)
     oracle = power_iteration_norm(M, iterations=10_000, seed=seed)
     assert got == pytest.approx(oracle, rel=1e-6)
@@ -212,7 +216,7 @@ def test_esd_histogram_excludes_out_of_range_from_numerator():
 
 def test_esd_wigner_matches_semicircle():
     n = 2000
-    M = sample_wigner(n, Gaussian(0, 1), seed=4) / math.sqrt(n)
+    M = _dense_wigner(n, Gaussian(0, 1), seed=4) / math.sqrt(n)
     centers, density = sp.esd_histogram(M, 40, (-2.2, 2.2))
     expected = semicircle_density(centers, 1.0)
     assert float(np.max(np.abs(density - expected))) <= 0.05
@@ -229,7 +233,7 @@ def _matrix(kind, n, seed, shift):
     """Test matrices for the Lanczos path, scaled like the trials' (bulk
     edge near +-2)."""
     rng = np.random.default_rng(seed)
-    M = sample_wigner(n, Gaussian(0, 1), seed=seed) / math.sqrt(n)
+    M = _dense_wigner(n, Gaussian(0, 1), seed=seed) / math.sqrt(n)
     u = rng.standard_normal(n)
     u /= np.linalg.norm(u)
     if kind == "spiked":  # a detached top outlier
@@ -304,10 +308,11 @@ TRIAL_N = 600  # above the crossover, so the trials' matrices take the Lanczos p
 
 
 def _signed_trial_matrix(n, c, seed):
-    """The signed sweep's He2+He3 observation, built as its trials build it."""
-    W = wigner_upper(n, Gaussian(0, 1), derive_seed(seed, 0))
+    """The signed sweep's He2+He3 observation, built as its trials build it
+    and mirrored into a full matrix."""
+    W = sample_wigner(n, Gaussian(0, 1), derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
-    return assemble_observation(W, HE2_HE3, SpikeParams(c, Fraction(1, 4), n), x)
+    return mirror_upper(assemble_observation(W, HE2_HE3, SpikeParams(c, Fraction(1, 4), n), x).matrix)
 
 
 def _decomposition_remainder(monkeypatch, n, seed):
@@ -322,7 +327,7 @@ def _decomposition_remainder(monkeypatch, n, seed):
 
     monkeypatch.setattr(decomposition, "operator_norm", keep_remainder)
     law = Gaussian(0, 1)
-    W = wigner_upper(n, law, derive_seed(seed, 0))
+    W = sample_wigner(n, law, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
     params, ensemble = SpikeParams(1.0, 0.25, n), decomposition.WignerEnsemble(law)
     report = decomposition.signal_plus_noise(W, HE2_HE3, params, x, ensemble)
@@ -473,20 +478,24 @@ def test_gate_holds_on_entries_whose_squares_overflow():
 @pytest.mark.parametrize("n", [40, sp._LANCZOS_MIN_N + 20])
 def test_core_rejects_non_finite_upper_entries(n):
     # a trial's matrix is not scanned: the core's norm pass is its
-    # finiteness check, on the dense and the Lanczos path, for an entry on
-    # the diagonal, in a row's first or last block, and for a NaN below
-    # the diagonal nothing is rejected, as nothing reads it
+    # finiteness check, on the dense and the Lanczos path and in the
+    # histogram, for an entry on the diagonal, in a row's first or last
+    # block, and for a NaN below the diagonal nothing is rejected, as
+    # nothing reads it
     M = _matrix("wigner", n, 8, 0.0)
+    solvers = (lambda Y: sp.sym_eig_top(Y, 2), sp.operator_norm, lambda Y: sp.esd_histogram(Y, 4, (-2.0, 2.0)))
     for bad in (np.nan, np.inf, -np.inf):
         for i, j in ((0, 0), (n - 1, n - 1), (3, 4), (3, n - 1), (n - 2, n - 1)):
             A = M.copy()
             A[i, j] = bad
-            for solve in (lambda Y: sp.sym_eig_top(Y, 2), sp.operator_norm):
+            for solve in solvers:
                 with pytest.raises(ContractError, match="^matrix has non-finite entries$"):
                     solve(UpperTriangle(A))
     below = M.copy()
     below[np.tril_indices(n, -1)] = np.nan
     assert sp.operator_norm(UpperTriangle(below)) == sp.operator_norm(M)
+    for got, want in zip(solvers[2](UpperTriangle(below.copy())), solvers[2](M.copy())):
+        assert np.array_equal(got, want)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         big = below * 1e160
@@ -568,7 +577,7 @@ def test_import_leaves_arpack_unloaded():
         "from nlspike import spectral as sp\n"
         "from nlspike.distributions import Gaussian\n"
         "loaded = 'scipy.sparse' in sys.modules\n"
-        "M = nlspike.sample_wigner(sp._LANCZOS_MIN_N, Gaussian(0, 1), 1)\n"
+        "M = nlspike.mirror_upper(nlspike.sample_wigner(sp._LANCZOS_MIN_N, Gaussian(0, 1), 1).matrix)\n"
         "b = sp._residual_bound(M)\n"
         "assert sp._lanczos(M, 2, 'LA', b) is not None and sp._lanczos(M, 2, 'BE', b) is not None\n"
         "sp.sym_eig_top(M, 2), sp.operator_norm(M)\n"
