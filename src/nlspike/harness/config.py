@@ -29,21 +29,8 @@ _ALLOWED_KEYS = {
     "decompose-check": _COMMON_KEYS
     | {"n_list", "c_grid", "alpha", "trials_per_point", "f", "noise"},
     "esd": _COMMON_KEYS
-    | {
-        "n_list",
-        "c_grid",
-        "alpha",
-        "f",
-        "model",
-        "noise",
-        "within",
-        "across",
-        "beta",
-        "bins",
-        "range",
-        "eta",
-        "qve_max_iter",
-    },
+    | {"n_list", "c_grid", "alpha", "f", "model", "noise", "within", "across", "beta"}
+    | {"bins", "range"},
     "predict": _COMMON_KEYS | {"c_grid", "alpha", "f", "model", "noise", "within", "across"},
 }
 
@@ -66,8 +53,6 @@ class ExperimentConfig:
     model: str = "wigner"
     bins: int = 40
     hist_range: tuple[float, float] | None = None
-    eta: float = 1e-3
-    qve_max_iter: int = 200_000
     config_hash: str = ""
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -94,18 +79,14 @@ def _require(obj: dict, key: str, experiment: str):
     return obj[key]
 
 
-def _parse_distribution(obj, where: str) -> Distribution:
+def _parse_spec(raw: dict, key: str, experiment: str, from_json):
+    """from_json of a required law or function; its failure is a
+    ConfigError naming experiment.key."""
+    obj = _require(raw, key, experiment)
     try:
-        return dist.from_json(obj)
+        return from_json(obj)
     except Exception as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_fn(obj, where: str) -> NonlinearFn:
-    try:
-        return nlfn.from_json(obj)
-    except Exception as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{experiment}.{key}: {exc}") from exc
 
 
 def config_hash(raw: dict) -> str:
@@ -155,7 +136,7 @@ def _coerce(raw: dict, experiment: str) -> dict:
     kwargs["c_grid"] = c_grid
 
     kwargs["alpha"] = _parse_alpha(_require(raw, "alpha", experiment))
-    kwargs["f"] = _parse_fn(_require(raw, "f", experiment), f"{experiment}.f")
+    kwargs["f"] = _parse_spec(raw, "f", experiment, nlfn.from_json)
 
     if experiment in ("signed-sweep", "sbm-sweep", "decompose-check"):
         trials = int(_require(raw, "trials_per_point", experiment))
@@ -168,14 +149,10 @@ def _coerce(raw: dict, experiment: str) -> dict:
             raise ConfigError(f"{experiment}.model must be wigner or sbm, got {kwargs['model']!r}")
 
     if experiment in ("signed-sweep", "decompose-check") or kwargs.get("model") == "wigner":
-        kwargs["noise"] = _parse_distribution(
-            _require(raw, "noise", experiment), f"{experiment}.noise"
-        )
+        kwargs["noise"] = _parse_spec(raw, "noise", experiment, dist.from_json)
     else:
         for name in ("within", "across"):
-            kwargs[name] = _parse_distribution(
-                _require(raw, name, experiment), f"{experiment}.{name}"
-            )
+            kwargs[name] = _parse_spec(raw, name, experiment, dist.from_json)
         if experiment != "predict":
             kwargs["beta"] = float(_require(raw, "beta", experiment))
 
@@ -187,6 +164,8 @@ def _coerce(raw: dict, experiment: str) -> dict:
                     "community separation from c"
                 )
     elif experiment == "esd":
+        if len(kwargs["n_list"]) > 1 or len(c_grid) > 1:
+            raise ConfigError("esd: one observation per run; n_list and c_grid take one entry each")
         kwargs["bins"] = int(raw.get("bins", 40))
         if kwargs["bins"] < 1:
             raise ConfigError(f"esd.bins must be >= 1, got {kwargs['bins']}")
@@ -195,8 +174,6 @@ def _coerce(raw: dict, experiment: str) -> dict:
             if not lo < hi:
                 raise ConfigError(f"esd.range must be increasing, got {raw['range']}")
             kwargs["hist_range"] = (lo, hi)
-        kwargs["eta"] = float(raw.get("eta", 1e-3))
-        kwargs["qve_max_iter"] = int(raw.get("qve_max_iter", 200_000))
     return kwargs
 
 

@@ -229,8 +229,7 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
     density from the QVE (or semicircle for i.i.d. noise) as overlay rows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = cfg.n_list[0]
-    c = cfg.c_grid[0]
+    (n,), (c,) = cfg.n_list, cfg.c_grid
     seed = derive_seed(cfg.base_seed, 0)
 
     if cfg.model == "wigner":
@@ -249,9 +248,7 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
     bounds = cfg.hist_range or (-(2.0 * sigma_f + 0.5), 2.0 * sigma_f + 0.5)
     centers, density = esd_histogram(Y, cfg.bins, bounds)
     tau = np.linspace(bounds[0], bounds[1], 4 * cfg.bins + 1)
-    tau, rho = spectral_density_from_qve(
-        beta, sigma, sigma_bar, tau, eta=cfg.eta, max_iter=cfg.qve_max_iter
-    )
+    rho = spectral_density_from_qve(beta, sigma, sigma_bar, tau)
     rows = [("esd", float(x), float(y)) for x, y in zip(centers, density)]
     rows += [("qve", float(x), float(y)) for x, y in zip(tau, rho)]
     csv_path = out_dir / "esd.csv"

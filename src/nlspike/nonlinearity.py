@@ -182,8 +182,9 @@ def apply_elementwise(f: NonlinearFn, M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _poly_expectation(p: Polynomial, d: Distribution) -> float:
-    return sum(c * dist.moment(d, j) for j, c in enumerate(p.coeffs) if c != 0.0)
+def _poly_expectation(coeffs, d: Distribution) -> float:
+    """E sum_j coeffs[j] Z^j for Z ~ d, from the law's raw moments."""
+    return sum(c * dist.moment(d, j) for j, c in enumerate(coeffs) if c != 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +266,7 @@ def expectation(
         value, err = _mc_expectation(f, d, mc_samples, mc_seed)
         return value, err, f"monte-carlo({mc_samples}, seed={mc_seed})"
     if isinstance(f, Polynomial) and method != "gauss-hermite":
-        return _poly_expectation(f, d), 0.0, "closed-form"
+        return _poly_expectation(f.coeffs, d), 0.0, "closed-form"
     x, w, used = _rule(d, gh_nodes)
     if method != "auto" and not used.startswith(method):
         raise CapabilityError(f"no {method} path for {f!r} under {type(d).__name__}")
@@ -290,9 +291,8 @@ def moment_table(f: NonlinearFn, d: Distribution, k_max: int) -> dict[int, float
 def sd_f(f: NonlinearFn, d: Distribution) -> float:
     """Standard deviation of f(Z) with Z ~ d, on the path expectation takes."""
     if isinstance(f, Polynomial):
-        sq = np.convolve(f.coeffs, f.coeffs)
-        mean_sq = sum(c * dist.moment(d, j) for j, c in enumerate(sq) if c != 0.0)
-        mean_f = _poly_expectation(f, d)
+        mean_sq = _poly_expectation(np.convolve(f.coeffs, f.coeffs), d)
+        mean_f = _poly_expectation(f.coeffs, d)
         return math.sqrt(max(mean_sq - mean_f**2, 0.0))
     mean_f, _, _ = expectation(f, d)
     x, w, _ = _rule(d, DEFAULT_GH_NODES)

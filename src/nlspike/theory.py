@@ -214,6 +214,14 @@ def sbm_recovery_prediction(
 # ---------------------------------------------------------------------------
 
 
+# The QVE's numerics: Picard damping, iteration cap, residual tolerance,
+# and the height above the axis at which the density is read.
+_QVE_DAMPING = 0.5
+_QVE_MAX_ITER = 200_000
+_QVE_TOL = 1e-12
+_QVE_ETA = 1e-3
+
+
 @dataclass(frozen=True)
 class QveSolution:
     z: complex
@@ -229,10 +237,10 @@ def _qve_residuals(beta, s2, sb2, z, m1, m2):
     return r1, r2
 
 
-def _picard_step(beta, s2, sb2, z, m1, m2, damping):
+def _picard_step(beta, s2, sb2, z, m1, m2):
     t1 = -1.0 / (z + beta * s2 * m1 + (1.0 - beta) * sb2 * m2)
     t2 = -1.0 / (z + beta * sb2 * m1 + (1.0 - beta) * s2 * m2)
-    return m1 + damping * (t1 - m1), m2 + damping * (t2 - m2)
+    return m1 + _QVE_DAMPING * (t1 - m1), m2 + _QVE_DAMPING * (t2 - m2)
 
 
 def _solve_qve_grid(
@@ -240,9 +248,7 @@ def _solve_qve_grid(
     s2: float,
     sb2: float,
     z: np.ndarray,
-    max_iter: int,
     tol: float,
-    damping: float,
     m_init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Vectorized solver over a grid of spectral parameters.
@@ -261,13 +267,13 @@ def _solve_qve_grid(
         m1 = np.asarray(m_init[0], dtype=complex).copy()
         m2 = np.asarray(m_init[1], dtype=complex).copy()
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _QVE_MAX_ITER + 1):
         r1, r2 = _qve_residuals(beta, s2, sb2, z, m1, m2)
         res = np.maximum(np.abs(r1), np.abs(r2))
         if np.all(res <= tol):
             return m1, m2, iterations, res
         active = res > tol
-        p1, p2 = _picard_step(beta, s2, sb2, z, m1, m2, damping)
+        p1, p2 = _picard_step(beta, s2, sb2, z, m1, m2)
         # Newton on F(m) = 0 with the 2x2 Jacobian, solved by Cramer.
         j11 = z + 2.0 * beta * s2 * m1 + (1.0 - beta) * sb2 * m2
         j12 = (1.0 - beta) * sb2 * m1
@@ -288,20 +294,12 @@ def _solve_qve_grid(
     r1, r2 = _qve_residuals(beta, s2, sb2, z, m1, m2)
     res = np.maximum(np.abs(r1), np.abs(r2))
     raise ConvergenceError(
-        f"QVE did not reach tol={tol} in {max_iter} iterations", float(np.max(res))
+        f"QVE did not reach tol={tol} in {_QVE_MAX_ITER} iterations", float(np.max(res))
     )
 
 
 def _solve_qve_ladder(
-    beta: float,
-    s2: float,
-    sb2: float,
-    tau: np.ndarray,
-    eta: float,
-    max_iter: int,
-    tol: float,
-    damping: float = 0.5,
-    m_init: tuple[np.ndarray, np.ndarray] | None = None,
+    beta: float, s2: float, sb2: float, tau: np.ndarray, eta: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve at tau + i eta by continuation from a comfortable height.
 
@@ -315,25 +313,16 @@ def _solve_qve_ladder(
     etas = [eta_start]
     while etas[-1] > eta * (1.0 + 1e-12):
         etas.append(max(etas[-1] / 10.0, eta))
-    m = m_init
+    m = None
     total = 0
     for stage_eta in etas:
-        m1, m2, iters, _ = _solve_qve_grid(
-            beta, s2, sb2, tau + 1j * stage_eta, max_iter, tol, damping, m_init=m
-        )
+        m1, m2, iters, _ = _solve_qve_grid(beta, s2, sb2, tau + 1j * stage_eta, tol, m_init=m)
         m = (m1, m2)
         total += iters
     return m[0], m[1], total
 
 
-def solve_qve_two_block(
-    beta: float,
-    sigma: float,
-    sigma_bar: float,
-    z: complex,
-    max_iter: int = 200_000,
-    tol: float = 1e-12,
-) -> QveSolution:
+def solve_qve_two_block(beta: float, sigma: float, sigma_bar: float, z: complex) -> QveSolution:
     """Solve the two-block QVE at a single upper-half-plane point."""
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
@@ -343,57 +332,42 @@ def solve_qve_two_block(
     if z.imag <= 0.0:
         raise ParameterError(f"need imag(z) > 0, got {z}")
     m1, m2, iterations = _solve_qve_ladder(
-        beta, sigma**2, sigma_bar**2, np.array([z.real]), z.imag, max_iter, tol
+        beta, sigma**2, sigma_bar**2, np.array([z.real]), z.imag, _QVE_TOL
     )
     r1, r2 = _qve_residuals(beta, sigma**2, sigma_bar**2, z, m1[0], m2[0])
     res = max(abs(r1), abs(r2))
     return QveSolution(z, complex(m1[0]), complex(m2[0]), iterations, float(res))
 
 
-def spectral_density_from_qve(
-    beta: float,
-    sigma: float,
-    sigma_bar: float,
-    tau_grid,
-    eta: float = 1e-3,
-    max_iter: int = 200_000,
-    tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
+def spectral_density_from_qve(beta: float, sigma: float, sigma_bar: float, tau_grid) -> np.ndarray:
     """Limiting spectral density on tau_grid.
 
     The bulk density is (1/pi)(beta Im m1 + (1-beta) Im m2) evaluated at
-    tau + i eta; a two-stage Richardson step over eta and eta/10
-    extrapolates the O(eta) smoothing toward eta -> 0, and the result is
-    clamped at 0.
+    tau + i eta with eta = _QVE_ETA; a two-stage Richardson step over eta
+    and eta/10 extrapolates the O(eta) smoothing toward eta -> 0, and the
+    result is clamped at 0.
     """
-    if not eta > 0.0:
-        raise ParameterError(f"eta must be > 0, got {eta}")
     tau = np.asarray(tau_grid, dtype=float)
     s2, sb2 = sigma**2, sigma_bar**2
-    m1a, m2a, _ = _solve_qve_ladder(beta, s2, sb2, tau, eta, max_iter, tol)
+    m1a, m2a, _ = _solve_qve_ladder(beta, s2, sb2, tau, _QVE_ETA, _QVE_TOL)
     rho_a = (beta * m1a.imag + (1.0 - beta) * m2a.imag) / math.pi
     m1b, m2b, _, _ = _solve_qve_grid(
-        beta, s2, sb2, tau + 1j * (eta / 10.0), max_iter, tol, 0.5, m_init=(m1a, m2a)
+        beta, s2, sb2, tau + 1j * (_QVE_ETA / 10.0), _QVE_TOL, m_init=(m1a, m2a)
     )
     rho_b = (beta * m1b.imag + (1.0 - beta) * m2b.imag) / math.pi
-    rho = (10.0 * rho_b - rho_a) / 9.0
-    return tau, np.clip(rho, 0.0, None)
+    return np.clip((10.0 * rho_b - rho_a) / 9.0, 0.0, None)
 
 
 def _bulk_transform(beta: float, sigma: float, sigma_bar: float, tau: float) -> complex:
     """The whole bulk's transform beta m1 + (1-beta) m2 at tau + 1e-9 i,
     the height at which the edge and outlier searches probe the axis."""
-    m1, m2, _ = _solve_qve_ladder(
-        beta, sigma**2, sigma_bar**2, np.array([tau]), 1e-9, 200_000, 1e-13
-    )
+    m1, m2, _ = _solve_qve_ladder(beta, sigma**2, sigma_bar**2, np.array([tau]), 1e-9, 1e-13)
     return beta * m1[0] + (1.0 - beta) * m2[0]
 
 
-def qve_support_edge(
-    beta: float, sigma: float, sigma_bar: float, tol: float = 1e-10
-) -> float:
+def qve_support_edge(beta: float, sigma: float, sigma_bar: float) -> float:
     """Rightmost point of the limiting bulk support, by bisection on the
-    boundary density."""
+    boundary density to a bracket of width 1e-10."""
 
     def in_support(tau: float) -> bool:
         return _bulk_transform(beta, sigma, sigma_bar, tau).imag > 1e-4
@@ -402,7 +376,7 @@ def qve_support_edge(
     hi = 2.0 * max(sigma, sigma_bar) + 1.0
     while in_support(hi):
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if in_support(mid):
             lo = mid

@@ -364,7 +364,7 @@ def test_acceptance_5_qve_correctness():
     beta = 1.0 / 3.0
 
     tau = np.linspace(-7.0, 7.0, 1401)
-    _, rho = spectral_density_from_qve(beta, sigma, sigma_bar, tau)
+    rho = spectral_density_from_qve(beta, sigma, sigma_bar, tau)
     integral = float(np.trapezoid(rho, tau))
     c.add(abs(integral - 1.0) <= 1e-3, f"beta=1/3 density integral {integral:.6f} in 1+-1e-3")
     c.add(bool(np.all(rho >= 0.0)), "density nonnegative on the grid")
@@ -375,7 +375,7 @@ def test_acceptance_5_qve_correctness():
     edge = qve_support_edge(beta, sigma, sigma_bar)
     bounds = (-edge - 0.5, edge + 0.5)
     centers, density = esd_histogram(Y, 40, bounds)
-    _, rho_at_centers = spectral_density_from_qve(beta, sigma, sigma_bar, centers)
+    rho_at_centers = spectral_density_from_qve(beta, sigma, sigma_bar, centers)
     sup_dist = float(np.max(np.abs(density - rho_at_centers)))
     c.add(sup_dist <= 0.05, f"ESD vs QVE sup-distance {sup_dist:.4f} <= 0.05 over 40 bins")
     c.finish()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlspike import decomposition, matrixgen, sbm, spectral
+from nlspike import decomposition, matrixgen, sbm, spectral, theory
 from nlspike.errors import ConfigError, FormatError
 from nlspike.harness import (
     emit_plot,
@@ -480,7 +480,12 @@ def test_fit_transition_midpoint_with_noise():
 
 @pytest.mark.parametrize(
     "raw",
-    [{"experiment": "signed-sweep"}, {"experiment": "decompose-check"}, SBM_RAW, ESD_RAW],
+    [
+        {"experiment": "signed-sweep"},
+        {"experiment": "decompose-check"},
+        SBM_RAW,
+        ESD_RAW | {"c_grid": [0.8]},  # esd draws one observation, at one c
+    ],
     ids=["signed-sweep", "decompose-check", "sbm-sweep", "esd"],
 )
 def test_lanczos_sweeps_are_deterministic(tmp_path, raw):
@@ -563,6 +568,10 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         signed_cfg(base_seed="s"),
         ESD_CFG | {"range": [1]},
         ESD_CFG | {"bins": "x"},
+        ESD_CFG | {"eta": 1e-3},
+        ESD_CFG | {"qve_max_iter": 1},
+        ESD_CFG | {"n_list": [60, 80]},
+        ESD_CFG | {"c_grid": [0.5, 1.0]},
         PREDICT_CFG | {"alpha": math.nan},
         PREDICT_CFG | {"alpha": math.inf},
         PREDICT_CFG | {"alpha": 0.7},
@@ -575,6 +584,10 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         "base_seed",
         "esd-range",
         "esd-bins",
+        "esd-eta",
+        "esd-qve_max_iter",
+        "esd-n_list",
+        "esd-c_grid",
         "predict-alpha-nan",
         "predict-alpha-inf",
         "predict-alpha-0.7",
@@ -622,7 +635,9 @@ def test_cli_predict_abs_is_sign_unrecoverable(tmp_path, capsys):
     assert entry["regime"] == "sign-unrecoverable"
 
 
-def test_cli_convergence_exit_code(tmp_path, capsys):
+def test_cli_convergence_exit_code(tmp_path, capsys, monkeypatch):
+    """A QVE that cannot converge in its iteration cap exits 3."""
+    monkeypatch.setattr(theory, "_QVE_MAX_ITER", 1)
     raw = {
         "experiment": "esd",
         "n_list": [60],
@@ -631,7 +646,6 @@ def test_cli_convergence_exit_code(tmp_path, capsys):
         "f": F_JSON,
         "model": "wigner",
         "noise": GAUSS_JSON,
-        "qve_max_iter": 1,
     }
     cfg_path = write_cfg(tmp_path, raw)
     assert cli_main(["esd", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3

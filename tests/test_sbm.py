@@ -123,5 +123,5 @@ def test_noise_only_esd_matches_qve_density_smoke():
     sigma_f = math.sqrt(0.5 * (sigma**2 + sigma_bar**2))
     bounds = (-2.0 * sigma_f - 0.5, 2.0 * sigma_f + 0.5)
     centers, density = esd_histogram(Y, 40, bounds)
-    _, rho = spectral_density_from_qve(0.5, sigma, sigma_bar, centers)
+    rho = spectral_density_from_qve(0.5, sigma, sigma_bar, centers)
     assert float(np.max(np.abs(density - rho))) <= 0.08

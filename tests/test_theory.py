@@ -218,9 +218,10 @@ def test_qve_rejects_bad_inputs():
         theory.solve_qve_two_block(1.5, 1.0, 1.0, 1j)
 
 
-def test_qve_non_convergence_error_carries_residual():
+def test_qve_non_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(theory, "_QVE_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        theory.solve_qve_two_block(1.0 / 3.0, 1.0, 0.5, 0.1 + 1e-8j, max_iter=2)
+        theory.solve_qve_two_block(1.0 / 3.0, 1.0, 0.5, 0.1 + 1e-8j)
     assert err.value.residual is not None
     assert err.value.residual > 0.0
 
@@ -232,7 +233,7 @@ def test_qve_non_convergence_error_carries_residual():
 
 def test_density_semicircle_case():
     tau = np.linspace(-2.5, 2.5, 1001)
-    _, rho = theory.spectral_density_from_qve(0.5, 1.0, 1.0, tau)
+    rho = theory.spectral_density_from_qve(0.5, 1.0, 1.0, tau)
     mid = rho[500]
     assert mid == pytest.approx(1.0 / math.pi, abs=1e-4)
     assert mid == pytest.approx(0.3183099, abs=1e-4)
@@ -244,7 +245,7 @@ def test_density_semicircle_case():
 
 def test_density_two_block_normalizes():
     tau = np.linspace(-7.0, 7.0, 1401)
-    _, rho = theory.spectral_density_from_qve(1.0 / 3.0, math.sqrt(6.0), math.sqrt(1.875), tau)
+    rho = theory.spectral_density_from_qve(1.0 / 3.0, math.sqrt(6.0), math.sqrt(1.875), tau)
     assert float(np.trapezoid(rho, tau)) == pytest.approx(1.0, abs=1e-3)
     assert np.all(rho >= 0.0)
 
