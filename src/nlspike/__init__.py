@@ -35,7 +35,6 @@ from .nonlinearity import (
 )
 from .matrixgen import (
     SbmSpec,
-    SignalVector,
     SpikeParams,
     UpperTriangle,
     assemble_observation,
@@ -48,9 +47,6 @@ from .matrixgen import (
 from .spectral import EigenPairs, alignment, esd_histogram, operator_norm, sym_eig_top
 from .decomposition import (
     DecompositionReport,
-    SbmEnsemble,
-    SpikeTerm,
-    WignerEnsemble,
     ell_of_alpha,
     signal_plus_noise,
     spike_coefficients,

@@ -21,7 +21,7 @@ from ..nonlinearity import NonlinearFn
 
 EXPERIMENTS = ("signed-sweep", "sbm-sweep", "esd", "decompose-check", "predict")
 
-_COMMON_KEYS = {"experiment", "base_seed", "output_dir", "threads"}
+_COMMON_KEYS = {"experiment", "base_seed", "output_dir"}
 _ALLOWED_KEYS = {
     "signed-sweep": _COMMON_KEYS | {"n_list", "c_grid", "alpha", "trials_per_point", "f", "noise"},
     "sbm-sweep": _COMMON_KEYS
@@ -40,7 +40,6 @@ class ExperimentConfig:
     experiment: str
     base_seed: int = 0
     output_dir: str = "."
-    threads: int | None = None
     n_list: tuple[int, ...] = ()
     c_grid: tuple[float, ...] = ()
     alpha: float | Fraction = 0.0
@@ -117,8 +116,6 @@ def _coerce(raw: dict, experiment: str) -> dict:
         "base_seed": int(raw.get("base_seed", 0)),
         "output_dir": str(raw.get("output_dir", ".")),
     }
-    if "threads" in raw:
-        kwargs["threads"] = int(raw["threads"])
 
     if experiment != "predict":
         n_list = tuple(int(n) for n in _require(raw, "n_list", experiment))

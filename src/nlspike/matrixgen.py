@@ -106,32 +106,15 @@ class SbmSpec:
         return round(self.beta * self.n)
 
 
-@dataclass(frozen=True, eq=False)
-class SignalVector:
-    """Unit-norm signal; kind records how it was built."""
-
-    entries: np.ndarray
-    kind: str  # rademacher-normalized | community | custom
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
-def rademacher_signal(n: int, seed: int) -> SignalVector:
+def rademacher_signal(n: int, seed: int) -> np.ndarray:
     """x = zeta / sqrt(n) with i.i.d. +-1 entries; ||x|| = 1 exactly."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     zeta = dist.sample(dist.Rademacher(0.5), n, seed)
-    return SignalVector(zeta / np.sqrt(n), "rademacher-normalized")
+    return zeta / np.sqrt(n)
 
 
-def community_signal(n: int, beta: float) -> tuple[SignalVector, np.ndarray]:
+def community_signal(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Block signal u/sqrt(n) and its +-1 labels; beta*n must be integral."""
     split = beta * n
     if abs(split - round(split)) > 1e-9:
@@ -140,7 +123,7 @@ def community_signal(n: int, beta: float) -> tuple[SignalVector, np.ndarray]:
     if not (0 < n_plus < n):
         raise ParameterError(f"split {n_plus} of {n} leaves an empty community")
     labels = np.concatenate([np.ones(n_plus), -np.ones(n - n_plus)])
-    return SignalVector(labels / np.sqrt(n), "community"), labels
+    return labels / np.sqrt(n), labels
 
 
 def row_blocks(n: int):
@@ -234,11 +217,11 @@ def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: f
 
 
 def assemble_observation(
-    W: UpperTriangle, f: NonlinearFn, sp: SpikeParams, x: SignalVector | np.ndarray
+    W: UpperTriangle, f: NonlinearFn, sp: SpikeParams, x: np.ndarray
 ) -> UpperTriangle:
     """Y = f(W + lambda sqrt(n) x x^T) / sqrt(n), built in W's buffer: W is
     consumed and returned as Y."""
-    xv = x.entries if isinstance(x, SignalVector) else np.asarray(x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     n = sp.n
     if W.matrix.shape != (n, n) or len(xv) != n:
         raise ParameterError(f"dimension mismatch: W {W.matrix.shape}, x {len(xv)}, params n={n}")

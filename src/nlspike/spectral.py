@@ -370,8 +370,8 @@ def esd_histogram(
     lo, hi = bounds
     if bin_count < 1:
         raise ParameterError(f"bin_count must be >= 1, got {bin_count}")
-    if not (lo < hi):
-        raise ParameterError(f"need lo < hi, got ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParameterError(f"need finite lo < hi, got ({lo}, {hi})")
     M = _readable(M)
     _residual_bound(M)  # the finiteness check, which an UpperTriangle skips in _readable
     w = eigvalsh(M.T, lower=True, overwrite_a=True, check_finite=False)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from nlspike import distributions as dist
 from nlspike import nonlinearity as nlfn
-from nlspike.decomposition import SbmEnsemble, WignerEnsemble, _dense_sum, signal_plus_noise
+from nlspike.decomposition import _dense_sum, signal_plus_noise
 from nlspike.matrixgen import (
     SbmSpec,
     SpikeParams,
@@ -93,7 +93,7 @@ def _old_sample_sbm_adjacency(spec, seed):
 
 def _old_assemble_observation(W, f, sp, x):
     n = sp.n
-    perturbed = W + (sp.signal_strength * np.sqrt(n)) * np.outer(x.entries, x.entries)
+    perturbed = W + (sp.signal_strength * np.sqrt(n)) * np.outer(x, x)
     return apply_elementwise(f, perturbed) / np.sqrt(n)
 
 
@@ -103,10 +103,13 @@ def _old_transform_and_embed(A, f):
     return Y
 
 
-def _old_dense_sum(noise_part, spikes):
+def _old_dense_sum(noise_part, spikes, x):
+    # each row's two terms, parity direction first; a 0.0 weight adds only +-0.0
+    directions = {"ones": np.full(len(x), 1.0 / np.sqrt(len(x))), "signal": x}
     out = noise_part.copy()
-    for term in spikes:
-        out += term.coefficient * np.outer(term.direction, term.direction)
+    for row in spikes:
+        for kind in ("ones", "signal") if row.k % 2 == 0 else ("signal", "ones"):
+            out += getattr(row, kind) * np.outer(directions[kind], directions[kind])
     return out
 
 
@@ -288,19 +291,19 @@ def test_remainder_norm_matches_dense_sum(n, f, c, alpha, seed, model):
         law = dist.Gaussian(0.0, 1.0)
         W = _dense(sample_wigner(n, law, derive_seed(seed, 0)))
         x = rademacher_signal(n, derive_seed(seed, 1))
-        ensemble = WignerEnsemble(law)
+        noise = law
     else:
         assume(n >= 2)
         laws = (dist.Gaussian(0.0, 1.0),) * 2 if model == "sbm-equal-laws" else SBM_CENTERED_LAWS
         spec = SbmSpec(n, (n // 2) / n, *laws)
         W = _dense(sample_sbm_adjacency(spec, seed))
         x, _ = community_signal(n, spec.beta)
-        ensemble = SbmEnsemble(spec)
+        noise = spec
     sp = SpikeParams(c, alpha, n)
-    report = signal_plus_noise(_nan_below(W), f, sp, x, ensemble)
+    report = signal_plus_noise(_nan_below(W), f, sp, x, noise)
     old_noise = apply_elementwise(f, W) / np.sqrt(n)
     Y = _old_assemble_observation(W, f, sp, x)
-    Y -= _old_dense_sum(old_noise, report.spikes)
+    Y -= _old_dense_sum(old_noise, report.spikes, x)
     assert report.remainder_norm == operator_norm(Y)
-    expected = _old_dense_sum(old_noise, report.spikes)
-    assert np.array_equal(_dense_sum(old_noise, report.spikes), expected)
+    expected = _old_dense_sum(old_noise, report.spikes, x)
+    assert np.array_equal(_dense_sum(old_noise, report.spikes, x), expected)

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlspike import decomposition as dc
-from nlspike.decomposition import SbmEnsemble, WignerEnsemble, ell_of_alpha
+from nlspike.decomposition import ell_of_alpha
 from nlspike.distributions import Gaussian, mean
 from nlspike.errors import ParameterError
 from nlspike.harness import parse_config, sweeps
 from nlspike.matrixgen import (
     SbmSpec,
-    SignalVector,
     SpikeParams,
     community_signal,
     rademacher_signal,
@@ -97,19 +96,19 @@ def _weight(sp, k):
 
 def test_expected_derivative_matrix_wigner():
     sp = SpikeParams(1.3, 0.25, 50)
-    rows = dc.spike_coefficients(F_CUBIC, sp, WignerEnsemble(STD_NORMAL))
+    rows = dc.spike_coefficients(F_CUBIC, sp, STD_NORMAL)
     assert rows[2].ones / _weight(sp, 2) == pytest.approx(2.0)  # E(6Z + 2) = 2
     assert rows[2].signal == 0.0
 
     sp1 = SpikeParams(1.3, 0.0, 50)
-    _, row1 = dc.spike_coefficients(Polynomial([0.0, 1.0]), sp1, WignerEnsemble(STD_NORMAL))
+    _, row1 = dc.spike_coefficients(Polynomial([0.0, 1.0]), sp1, STD_NORMAL)
     assert row1.signal / _weight(sp1, 1) == pytest.approx(1.0)
     assert row1.ones == 0.0
 
 
 def test_expected_derivative_matrix_sbm_symmetric_laws():
     spec = SbmSpec(8, 0.5, Gaussian(0.4, 1.0), Gaussian(-0.4, 1.0))
-    rows = dc.spike_coefficients(F_SBM, SpikeParams(1.0, Fraction(1, 3), 8), SbmEnsemble(spec))
+    rows = dc.spike_coefficients(F_SBM, SpikeParams(1.0, Fraction(1, 3), 8), spec)
     assert len(rows) == 4
     for row in rows:
         # equal centered laws: no half-difference off the parity direction
@@ -121,7 +120,7 @@ def test_expected_derivative_matrix_sbm_asymmetric_variances():
     n = 8
     spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
     sq = Polynomial([0.0, 0.0, 1.0])
-    k0 = dc.spike_coefficients(sq, SpikeParams(1.0, 0.0, n), SbmEnsemble(spec))[0]
+    k0 = dc.spike_coefficients(sq, SpikeParams(1.0, 0.0, n), spec)[0]
     # E Z^2 is 1 within and 4 across: half-sum 2.5, half-difference -1.5
     assert k0.ones / math.sqrt(n) == pytest.approx(2.5)
     assert k0.signal / math.sqrt(n) == pytest.approx(-1.5)
@@ -137,26 +136,26 @@ def test_signal_plus_noise_coefficients_alpha_third():
     W = sample_wigner(n, STD_NORMAL, seed=1)
     x = rademacher_signal(n, seed=2)
     sp = SpikeParams(c, Fraction(1, 3), n)
-    report = dc.signal_plus_noise(W, F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
+    report = dc.signal_plus_noise(W, F_CUBIC, sp, x, STD_NORMAL)
     assert report.ell == 3
-    by_k = {t.k: t for t in report.spikes}
-    assert set(by_k) == {1, 2, 3}
+    assert [row.k for row in report.spikes] == [1, 2, 3]
+    one, two, three = report.spikes
     # mu_{f'} = 0 kills k=1; k=2 rides the ones direction at
-    # c^2 mu_f'' n^(2 alpha - 1/2) / 2!; k=3 rides the signal at c^3 mu_f'''/3!
-    assert by_k[1].coefficient == pytest.approx(0.0, abs=1e-12)
-    assert by_k[2].direction_kind == "ones"
-    assert by_k[2].coefficient == pytest.approx(c**2 * 2.0 * n ** (2 / 3 - 0.5) / 2.0, rel=1e-12)
-    assert by_k[3].direction_kind == "signal"
-    assert by_k[3].coefficient == pytest.approx(c**3 * 6.0 / 6.0, rel=1e-12)
+    # c^2 mu_f'' n^(2 alpha - 1/2) / 2!; k=3 rides the signal at c^3 mu_f'''/3!;
+    # i.i.d. noise puts nothing off the parity direction
+    assert one.signal == pytest.approx(0.0, abs=1e-12)
+    assert one.ones == two.signal == three.ones == 0.0
+    assert two.ones == pytest.approx(c**2 * 2.0 * n ** (2 / 3 - 0.5) / 2.0, rel=1e-12)
+    assert three.signal == pytest.approx(c**3 * 6.0 / 6.0, rel=1e-12)
 
 
 def test_signal_plus_noise_zero_strength_has_zero_remainder():
     n = 60
     W = sample_wigner(n, STD_NORMAL, seed=3)
     x = rademacher_signal(n, seed=4)
-    report = dc.signal_plus_noise(W, F_CUBIC, SpikeParams(0.0, 0.25, n), x, WignerEnsemble(STD_NORMAL))
+    report = dc.signal_plus_noise(W, F_CUBIC, SpikeParams(0.0, 0.25, n), x, STD_NORMAL)
     assert report.remainder_norm == 0.0
-    assert all(t.coefficient == 0.0 for t in report.spikes)
+    assert all(row.ones == row.signal == 0.0 for row in report.spikes)
 
 
 def test_signal_plus_noise_consistency_invariant():
@@ -164,13 +163,13 @@ def test_signal_plus_noise_consistency_invariant():
     W = mirror_upper(sample_wigner(n, STD_NORMAL, seed=5).matrix)
     x = rademacher_signal(n, seed=6)
     sp = SpikeParams(1.2, 0.25, n)
-    report = dc.signal_plus_noise(UpperTriangle(W.copy()), F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL))
+    report = dc.signal_plus_noise(UpperTriangle(W.copy()), F_CUBIC, sp, x, STD_NORMAL)
     # independent recomputation of the remainder from materialized parts
     from nlspike.matrixgen import assemble_observation
     from nlspike.nonlinearity import apply_elementwise
 
     Y = mirror_upper(assemble_observation(UpperTriangle(W.copy()), F_CUBIC, sp, x).matrix)
-    approx = dc._dense_sum(apply_elementwise(F_CUBIC, W) / math.sqrt(n), report.spikes)
+    approx = dc._dense_sum(apply_elementwise(F_CUBIC, W) / math.sqrt(n), report.spikes, x)
     independent = operator_norm(Y - approx)
     assert report.remainder_norm == pytest.approx(independent, abs=1e-10)
 
@@ -186,21 +185,22 @@ def test_signal_plus_noise_sbm_rank_two():
     lam = delta * math.sqrt(n) / 2.0
     alpha = 0.0
     c = lam  # n^0 = 1
-    report = dc.signal_plus_noise(UpperTriangle(W), F_SBM, SpikeParams(c, alpha, n), u, SbmEnsemble(spec))
+    report = dc.signal_plus_noise(UpperTriangle(W), F_SBM, SpikeParams(c, alpha, n), u, spec)
     assert report.ell == 1
-    kinds = {(t.k, t.direction_kind) for t in report.spikes}
-    assert kinds == {(1, "ones"), (1, "signal")}
+    assert [row.k for row in report.spikes] == [1]  # one row: a weight on each direction
 
 
 def test_spike_term_norm_equals_abs_coefficient():
     n = 80
     W = sample_wigner(n, STD_NORMAL, seed=8)
     x = rademacher_signal(n, seed=9)
-    report = dc.signal_plus_noise(W, F_CUBIC, SpikeParams(1.5, 0.25, n), x, WignerEnsemble(STD_NORMAL))
-    for t in report.spikes:
-        if t.coefficient != 0.0:
-            dense = t.coefficient * np.outer(t.direction, t.direction)
-            assert operator_norm(dense) == pytest.approx(abs(t.coefficient), rel=1e-10)
+    report = dc.signal_plus_noise(W, F_CUBIC, SpikeParams(1.5, 0.25, n), x, STD_NORMAL)
+    ones = np.full(n, 1.0 / math.sqrt(n))
+    for row in report.spikes:
+        for weight, direction in ((row.ones, ones), (row.signal, x)):
+            if weight != 0.0:
+                dense = weight * np.outer(direction, direction)
+                assert operator_norm(dense) == pytest.approx(abs(weight), rel=1e-10)
 
 
 @pytest.mark.parametrize("coeffs", [[-1.0, -3.0, 1.0, 1.0], [0.0, 1.0, 0.5, 0.25]], ids=["He2+He3", "linear-cubic"])
@@ -235,12 +235,35 @@ def test_spike_terms_form_no_outer_product(monkeypatch, coeffs):
     assert callers == [("matrixgen.py", "step")] * len(list(row_blocks(n)))  # image_step's step
 
 
-def test_signal_plus_noise_rejects_a_custom_signal():
-    n = 16
-    x = SignalVector(np.full(n, 1.0 / math.sqrt(n)), "custom")
-    W = sample_wigner(n, STD_NORMAL, seed=1)
-    with pytest.raises(ParameterError, match="custom"):
-        dc.signal_plus_noise(W, F_CUBIC, SpikeParams(1.0, 0.25, n), x, WignerEnsemble(STD_NORMAL))
+def test_signal_plus_noise_rejects_a_signal_off_plus_minus_one_over_root_n():
+    # a unit vector whose entries are not +-1/sqrt(n): the spike terms would
+    # scale every entry by x_0^2, so the remainder would be wrong
+    n = 64
+    sp = SpikeParams(1.0, 0.25, n)
+    x = np.linspace(-1.0, 1.0, n)
+    x /= np.linalg.norm(x)
+    with pytest.raises(ParameterError, match="1/sqrt"):
+        dc.signal_plus_noise(sample_wigner(n, STD_NORMAL, seed=1), F_CUBIC, sp, x, STD_NORMAL)
+    # so is a signal one entry of which is one ulp off
+    x = rademacher_signal(n, seed=2)
+    x[5] = np.nextafter(x[5], 0.0)
+    with pytest.raises(ParameterError, match="1/sqrt"):
+        dc.signal_plus_noise(sample_wigner(n, STD_NORMAL, seed=1), F_CUBIC, sp, x, STD_NORMAL)
+
+
+def test_signal_plus_noise_accepts_a_hand_built_signed_signal():
+    # the check reads the entries, not what built them: a hand-built copy of
+    # a Rademacher signal gives its remainder bit for bit
+    n = 200
+    x = rademacher_signal(n, seed=3)
+    copy = np.where(x > 0, 1.0, -1.0) / np.sqrt(n)
+    sp = SpikeParams(1.4, Fraction(1, 3), n)
+    norms = [
+        dc.signal_plus_noise(sample_wigner(n, STD_NORMAL, seed=4), F_CUBIC, sp, signal, STD_NORMAL).remainder_norm
+        for signal in (x, copy)
+    ]
+    assert norms[0] > 0.0
+    assert norms[1] == norms[0]
 
 
 def test_signal_plus_noise_requires_zero_block_mean_sum():
@@ -250,7 +273,7 @@ def test_signal_plus_noise_requires_zero_block_mean_sum():
     u, _ = community_signal(n, 0.5)
     W = sample_sbm_adjacency(spec, seed=2)
     with pytest.raises(ParameterError, match="sum to zero"):
-        dc.signal_plus_noise(W, F_SBM, SpikeParams(1.0, 0.0, n), u, SbmEnsemble(spec))
+        dc.signal_plus_noise(W, F_SBM, SpikeParams(1.0, 0.0, n), u, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +290,21 @@ def test_wigner_spike_coefficients_zeta_aggregate():
     # vanishes with mu_f'), independent of n
     for n in (100, 1000, 10_000):
         sp = SpikeParams(2.0, Fraction(1, 3), n)
-        _, signal_total = _totals(dc.spike_coefficients(F_CUBIC, sp, WignerEnsemble(STD_NORMAL)))
+        _, signal_total = _totals(dc.spike_coefficients(F_CUBIC, sp, STD_NORMAL))
         assert signal_total == pytest.approx(8.0, rel=1e-12)
 
 
 def test_wigner_spike_coefficients_ones_growth_exponent():
     # kappa_1 = Theta(n^(1/2 - I_e/(2 I_o))) at the critical exponent:
     # I_e = 2, I_o = 3 gives exponent 1/6
-    ensemble = WignerEnsemble(STD_NORMAL)
-    ones1, _ = _totals(dc.spike_coefficients(F_CUBIC, SpikeParams(1.0, Fraction(1, 3), 1000), ensemble))
-    ones2, _ = _totals(dc.spike_coefficients(F_CUBIC, SpikeParams(1.0, Fraction(1, 3), 8000), ensemble))
+    ones1, _ = _totals(dc.spike_coefficients(F_CUBIC, SpikeParams(1.0, Fraction(1, 3), 1000), STD_NORMAL))
+    ones2, _ = _totals(dc.spike_coefficients(F_CUBIC, SpikeParams(1.0, Fraction(1, 3), 8000), STD_NORMAL))
     assert ones2 / ones1 == pytest.approx(8.0 ** (1.0 / 6.0), rel=1e-12)
 
 
 def test_wigner_spike_coefficients_includes_k0():
     shifted = Polynomial([1.0, 0.0, 0.0, 1.0])  # mean 1 under N(0,1)
-    rows = dc.spike_coefficients(shifted, SpikeParams(1.0, 0.0, 400), WignerEnsemble(STD_NORMAL))
+    rows = dc.spike_coefficients(shifted, SpikeParams(1.0, 0.0, 400), STD_NORMAL)
     assert rows[0].k == 0
     assert rows[0].ones == pytest.approx(math.sqrt(400.0), rel=1e-12)
     assert rows[0].signal == 0.0
@@ -291,19 +313,19 @@ def test_wigner_spike_coefficients_includes_k0():
 def test_wigner_spike_coefficients_odd_function_has_zero_ones_aggregate():
     odd = hermite_fn({3: 1.0})
     sp = SpikeParams(1.0, Fraction(1, 3), 500)
-    ones_total, _ = _totals(dc.spike_coefficients(odd, sp, WignerEnsemble(STD_NORMAL)))
+    ones_total, _ = _totals(dc.spike_coefficients(odd, sp, STD_NORMAL))
     assert ones_total == pytest.approx(0.0, abs=1e-12)
 
 
-def _assert_terms(spikes, expected):
-    assert len(spikes) == len(expected)
-    for term, (k, coefficient, kind) in zip(spikes, expected):
-        assert (term.k, term.direction_kind) == (k, kind)
-        assert term.coefficient == pytest.approx(coefficient, rel=1e-12, abs=1e-15)
+def _assert_rows(spikes, expected):
+    assert [row.k for row in spikes] == [k for k, _, _ in expected]
+    for row, (_, ones, signal) in zip(spikes, expected):
+        assert row.ones == pytest.approx(ones, rel=1e-12, abs=1e-15)
+        assert row.signal == pytest.approx(signal, rel=1e-12, abs=1e-15)
 
 
 def test_wigner_aggregates_cross_check_with_decomposition():
-    # the decomposition's terms, in order, against the closed form
+    # the decomposition's rows, in order, against the closed form
     # c^k n^((alpha-1/2)k+1/2) / k! times mu_k on the parity direction for
     # i.i.d. noise, and times (gamma_k + gammabar_k)/2 on the parity and
     # (gamma_k - gammabar_k)/2 on the other direction for the block model
@@ -311,22 +333,22 @@ def test_wigner_aggregates_cross_check_with_decomposition():
     sp = SpikeParams(1.3, Fraction(1, 3), n)
     x = rademacher_signal(n, seed=13)
     report = dc.signal_plus_noise(
-        sample_wigner(n, STD_NORMAL, seed=12), F_CUBIC, sp, x, WignerEnsemble(STD_NORMAL)
+        sample_wigner(n, STD_NORMAL, seed=12), F_CUBIC, sp, x, STD_NORMAL
     )
     mu = [derivative_moment(F_CUBIC, k, STD_NORMAL) for k in range(4)]
-    _assert_terms(report.spikes, [(1, _weight(sp, 1) * mu[1], "signal"),
-                                  (2, _weight(sp, 2) * mu[2], "ones"),
-                                  (3, _weight(sp, 3) * mu[3], "signal")])
+    _assert_rows(report.spikes, [(1, 0.0, _weight(sp, 1) * mu[1]),
+                                 (2, _weight(sp, 2) * mu[2], 0.0),
+                                 (3, 0.0, _weight(sp, 3) * mu[3])])
 
     spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
     u, _ = community_signal(n, 0.5)
-    report = dc.signal_plus_noise(sample_sbm_adjacency(spec, seed=14), F_SBM, sp, u, SbmEnsemble(spec))
+    report = dc.signal_plus_noise(sample_sbm_adjacency(spec, seed=14), F_SBM, sp, u, spec)
     expected = []
     for k in (1, 2, 3):
         g, gb = gamma_moment(F_SBM, k, spec.within), gamma_moment(F_SBM, k, spec.across)
-        parity, other = ("signal", "ones") if k % 2 else ("ones", "signal")
-        expected += [(k, _weight(sp, k) * (g + gb) / 2, parity), (k, _weight(sp, k) * (g - gb) / 2, other)]
-    _assert_terms(report.spikes, expected)
+        parity, other = _weight(sp, k) * (g + gb) / 2, _weight(sp, k) * (g - gb) / 2
+        expected.append((k, other, parity) if k % 2 else (k, parity, other))
+    _assert_rows(report.spikes, expected)
 
 
 def test_strength_scaling_exponent_log_log_slope():
@@ -337,7 +359,7 @@ def test_strength_scaling_exponent_log_log_slope():
     norms = {k: [] for k in (1, 2)}
     for n in ns:
         sp = SpikeParams(1.0, alpha, n)
-        rows = dc.spike_coefficients(Polynomial([0.0, 1.0, 1.0, 1.0]), sp, WignerEnsemble(STD_NORMAL))
+        rows = dc.spike_coefficients(Polynomial([0.0, 1.0, 1.0, 1.0]), sp, STD_NORMAL)
         for row in rows:
             if row.k in norms:
                 norms[row.k].append(abs(row.ones + row.signal))  # one of the two is 0
@@ -351,7 +373,7 @@ def test_strength_scaling_exponent_log_log_slope():
 def test_sbm_spike_coefficients():
     n = 2000
     spec = SbmSpec(n, 0.5, Gaussian(0.5, 1.0), Gaussian(-0.5, 1.0))
-    rows = dc.spike_coefficients(F_SBM, SpikeParams(1.5, Fraction(1, 3), n), SbmEnsemble(spec))
+    rows = dc.spike_coefficients(F_SBM, SpikeParams(1.5, Fraction(1, 3), n), spec)
     # gamma_f''' = gammabar_f''' = 6: the k=3 community term is c^3
     assert rows[3].signal == pytest.approx(1.5**3, rel=1e-12)
     # k = 0: half-sum on ones, half-difference on community, sqrt(n)-scaled
@@ -363,7 +385,7 @@ def test_sbm_spike_coefficients_k0_formula():
     n = 900
     spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
     sq = Polynomial([0.0, 0.0, 1.0])
-    k0 = dc.spike_coefficients(sq, SpikeParams(1.0, 0.0, n), SbmEnsemble(spec))[0]
+    k0 = dc.spike_coefficients(sq, SpikeParams(1.0, 0.0, n), spec)[0]
     g, gb = 1.0, 4.0
     assert k0.ones == pytest.approx(math.sqrt(n) * (g + gb) / 2.0, rel=1e-12)
     assert k0.signal == pytest.approx(math.sqrt(n) * (g - gb) / 2.0, rel=1e-12)
@@ -373,7 +395,7 @@ def test_sbm_spike_coefficients_odd_function_equal_laws_zero_ones():
     n = 100
     spec = SbmSpec(n, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
     odd = hermite_fn({3: 1.0})
-    rows = dc.spike_coefficients(odd, SpikeParams(1.0, Fraction(1, 3), n), SbmEnsemble(spec))
+    rows = dc.spike_coefficients(odd, SpikeParams(1.0, Fraction(1, 3), n), spec)
     ones_total, _ = _totals(rows)
     assert ones_total == pytest.approx(0.0, abs=1e-12)
 
@@ -381,4 +403,4 @@ def test_sbm_spike_coefficients_odd_function_equal_laws_zero_ones():
 def test_sbm_spike_coefficients_requires_zero_mean_sum():
     spec = SbmSpec(10, 0.5, Gaussian(1.0, 1.0), Gaussian(0.0, 1.0))
     with pytest.raises(ParameterError):
-        dc.spike_coefficients(F_SBM, SpikeParams(1.0, 0.0, 10), SbmEnsemble(spec))
+        dc.spike_coefficients(F_SBM, SpikeParams(1.0, 0.0, 10), spec)

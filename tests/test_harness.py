@@ -566,6 +566,7 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         signed_cfg(n_list=5),
         signed_cfg(trials_per_point="many"),
         signed_cfg(base_seed="s"),
+        signed_cfg(threads=2),
         ESD_CFG | {"range": [1]},
         ESD_CFG | {"bins": "x"},
         ESD_CFG | {"eta": 1e-3},
@@ -582,6 +583,7 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         "n_list",
         "trials_per_point",
         "base_seed",
+        "threads",
         "esd-range",
         "esd-bins",
         "esd-eta",
@@ -601,6 +603,17 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, raw):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_esd_non_finite_range_exits_2(tmp_path, capsys):
+    # -1e400 reads as -inf: the histogram refuses it before numpy would
+    text = json.dumps(ESD_CFG | {"range": [0, 3]}).replace("[0, 3]", "[-1e400, 3]")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert cli_main(["esd", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need finite lo < hi, got (-inf, 3.0)\n"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from nlspike.decomposition import ell_of_alpha
 from nlspike.distributions import Gaussian, Rademacher
 from nlspike.errors import ParameterError
 from nlspike.harness import parse_config
-from nlspike.matrixgen import SbmSpec, SignalVector, SpikeParams, UpperTriangle, mirror_upper, row_blocks
+from nlspike.matrixgen import SbmSpec, SpikeParams, UpperTriangle, mirror_upper, row_blocks
 from nlspike.nonlinearity import Polynomial
 from nlspike.spectral import operator_norm
 
@@ -96,16 +96,16 @@ def test_wigner_rejects_empty():
 
 def test_rademacher_signal():
     x = mg.rademacher_signal(4, seed=5)
-    assert set(np.unique(np.abs(x.entries))) == {0.5}
-    assert np.linalg.norm(x.entries) == pytest.approx(1.0, abs=1e-15)
-    zeta = x.entries * 2.0
+    assert set(np.unique(np.abs(x))) == {0.5}
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+    zeta = x * 2.0
     assert np.array_equal(zeta**2, np.ones(4))
     assert np.array_equal(zeta**3, zeta)
 
 
 def test_community_signal_examples():
     u, labels = mg.community_signal(4, 0.5)
-    assert np.array_equal(u.entries, [0.5, 0.5, -0.5, -0.5])
+    assert np.array_equal(u, [0.5, 0.5, -0.5, -0.5])
     assert np.array_equal(labels, [1, 1, -1, -1])
 
     u6, labels6 = mg.community_signal(6, 1.0 / 3.0)
@@ -119,7 +119,7 @@ def test_community_signal_examples():
 def test_assemble_observation_hand_example():
     # perturbation adds sqrt(2)/2 = 0.707107 to every entry, square, / sqrt(2)
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = SignalVector(np.array([1.0, 1.0]) / math.sqrt(2.0), "custom")
+    x = np.array([1.0, 1.0]) / math.sqrt(2.0)
     sp = SpikeParams(1.0, 0.0, 2)
     Y = _dense(mg.assemble_observation(UpperTriangle(W), SQUARE, sp, x))
     s = math.sqrt(2.0) * 0.5
@@ -141,14 +141,14 @@ def test_assemble_observation_degenerate_cases():
     zero_lam = _dense(mg.assemble_observation(UpperTriangle(W.copy()), IDENTITY, SpikeParams(0.0, 0.25, n), x))
     assert np.array_equal(zero_lam, W / math.sqrt(n))
 
-    zero_x = SignalVector(np.zeros(n), "custom")
+    zero_x = np.zeros(n)
     noise_only = _dense(mg.assemble_observation(UpperTriangle(W.copy()), SQUARE, SpikeParams(3.0, 0.25, n), zero_x))
     assert np.array_equal(noise_only, W**2 / math.sqrt(n))
 
 
 def test_assemble_observation_dimension_mismatch():
     W = np.zeros((4, 4))
-    x = SignalVector(np.zeros(3), "custom")
+    x = np.zeros(3)
     with pytest.raises(ParameterError):
         mg.assemble_observation(UpperTriangle(W), IDENTITY, SpikeParams(1.0, 0.0, 4), x)
 
@@ -160,7 +160,7 @@ def test_identity_f_reproduces_linear_model():
     for c, alpha in ((0.7, 0.0), (2.0, 0.25), (1.3, 1.0 / 3.0)):
         sp = SpikeParams(c, alpha, n)
         Y = _dense(mg.assemble_observation(UpperTriangle(W.copy()), IDENTITY, sp, x))
-        linear = W / math.sqrt(n) + sp.signal_strength * np.outer(x.entries, x.entries)
+        linear = W / math.sqrt(n) + sp.signal_strength * np.outer(x, x)
         assert np.max(np.abs(Y - linear)) <= 1e-12
 
 

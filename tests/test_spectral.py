@@ -207,6 +207,12 @@ def test_esd_histogram_single_bin():
     assert density[0] == pytest.approx(0.5)  # all mass over width 2
 
 
+@pytest.mark.parametrize("bounds", [(-math.inf, 3.0), (-1.0, math.inf), (math.nan, 1.0), (1.0, 1.0)])
+def test_esd_histogram_rejects_non_finite_or_empty_bounds(bounds):
+    with pytest.raises(ParameterError, match="need finite lo < hi"):
+        sp.esd_histogram(np.zeros((4, 4)), 1, bounds)
+
+
 def test_esd_histogram_excludes_out_of_range_from_numerator():
     M = np.diag([0.0, 0.0, 10.0, -10.0])
     centers, density = sp.esd_histogram(M, 1, (-1.0, 1.0))
@@ -329,8 +335,7 @@ def _decomposition_remainder(monkeypatch, n, seed):
     law = Gaussian(0, 1)
     W = sample_wigner(n, law, derive_seed(seed, 0))
     x = rademacher_signal(n, derive_seed(seed, 1))
-    params, ensemble = SpikeParams(1.0, 0.25, n), decomposition.WignerEnsemble(law)
-    report = decomposition.signal_plus_noise(W, HE2_HE3, params, x, ensemble)
+    report = decomposition.signal_plus_noise(W, HE2_HE3, SpikeParams(1.0, 0.25, n), x, law)
     return remainders[0], report.remainder_norm
 
 
