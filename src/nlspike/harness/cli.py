@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: from config)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=1, help="sweep threads (default 1)")
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
     return parser
 

@@ -72,6 +72,14 @@ def _parse_alpha(value) -> float | Fraction:
     return alpha
 
 
+def _integer(value, key: str, experiment: str) -> int:
+    """An integral JSON number as an int; a bool, a string, a fraction or
+    a non-finite number (json reads Infinity) is a ConfigError."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ConfigError(f"{experiment}: {key} must be integral, got {value!r}")
+    return int(value)
+
+
 def _require(obj: dict, key: str, experiment: str):
     if key not in obj:
         raise ConfigError(f"{experiment}: missing required key {key!r}")
@@ -113,12 +121,12 @@ def _coerce(raw: dict, experiment: str) -> dict:
     """ExperimentConfig fields from the JSON values; a value of the wrong
     type or shape raises TypeError or ValueError."""
     kwargs: dict = {
-        "base_seed": int(raw.get("base_seed", 0)),
+        "base_seed": _integer(raw.get("base_seed", 0), "base_seed", experiment),
         "output_dir": str(raw.get("output_dir", ".")),
     }
 
     if experiment != "predict":
-        n_list = tuple(int(n) for n in _require(raw, "n_list", experiment))
+        n_list = tuple(_integer(n, "n_list entries", experiment) for n in _require(raw, "n_list", experiment))
         if not n_list:
             raise ConfigError(f"{experiment}: n_list must be nonempty")
         if any(n < 1 for n in n_list):
@@ -136,7 +144,7 @@ def _coerce(raw: dict, experiment: str) -> dict:
     kwargs["f"] = _parse_spec(raw, "f", experiment, nlfn.from_json)
 
     if experiment in ("signed-sweep", "sbm-sweep", "decompose-check"):
-        trials = int(_require(raw, "trials_per_point", experiment))
+        trials = _integer(_require(raw, "trials_per_point", experiment), "trials_per_point", experiment)
         if trials < 1:
             raise ConfigError(f"{experiment}: trials_per_point must be >= 1, got {trials}")
         kwargs["trials_per_point"] = trials
@@ -163,7 +171,7 @@ def _coerce(raw: dict, experiment: str) -> dict:
     elif experiment == "esd":
         if len(kwargs["n_list"]) > 1 or len(c_grid) > 1:
             raise ConfigError("esd: one observation per run; n_list and c_grid take one entry each")
-        kwargs["bins"] = int(raw.get("bins", 40))
+        kwargs["bins"] = _integer(raw.get("bins", 40), "bins", experiment)
         if kwargs["bins"] < 1:
             raise ConfigError(f"esd.bins must be >= 1, got {kwargs['bins']}")
         if "range" in raw:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,13 +62,9 @@ def _write_json(path: Path, entries: list[dict]) -> Path:
     return path
 
 
-def _run_tuples(worker, tuples, threads: int | None):
-    """Map worker over tuples, preserving tuple order in the output.
-
-    threads=None runs one sweep thread per usable core."""
-    if threads is None:
-        usable = getattr(os, "sched_getaffinity", None)
-        threads = len(usable(0)) if usable else os.cpu_count() or 1
+def _run_tuples(worker, tuples, threads: int):
+    """Map worker over tuples, preserving tuple order in the output; one
+    thread runs them on the calling thread."""
     if threads == 1:
         return [worker(i, t) for i, t in enumerate(tuples)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -189,7 +184,7 @@ _SWEEPS = {
 }
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[str, Path]:
+def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Path]:
     """One CSV row per (n, c, trial) from the experiment's trial kernel,
     then its summary rows, its per-c theory JSON and one SVG per plotted
     column (a single plot is named after the sweep and keyed "svg")."""
@@ -224,7 +219,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dic
 # ---------------------------------------------------------------------------
 
 
-def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[str, Path]:
+def run_esd(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Path]:
     """Eigenvalue histogram of one observation, with the limiting bulk
     density from the QVE (or semicircle for i.i.d. noise) as overlay rows."""
     out_dir = Path(out_dir)
@@ -262,7 +257,7 @@ def run_esd(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[
 # ---------------------------------------------------------------------------
 
 
-def run_predict(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> dict[str, Path]:
+def run_predict(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Path]:
     """Theory-only predictions over the c grid, written as JSON."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,9 +274,9 @@ def run_predict(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> d
 _RUNNERS = dict.fromkeys(_SWEEPS, run_sweep) | {"esd": run_esd, "predict": run_predict}
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int | None = None):
+def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Dispatch on cfg.experiment; returns the artifact path map."""
     runner = _RUNNERS[cfg.experiment]
-    if threads is not None and threads < 1:
+    if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     return runner(cfg, out_dir if out_dir is not None else cfg.output_dir, threads)

@@ -10,9 +10,9 @@ The two-block quadratic vector equation
     z m1 + beta sigma^2 m1^2 + (1-beta) sigma_bar^2 m1 m2 + 1 = 0
     z m2 + beta sigma_bar^2 m1 m2 + (1-beta) sigma^2 m2^2 + 1 = 0
 
-is solved by a damped fixed point on m_i <- -1/(z + (S m)_i) with a
-Newton polish once the iterate is close; the Herglotz property is
-enforced on every accepted iterate.
+is solved by Newton continuation in the height Im z, from m = -1/z at
+the bulk's scale down to the axis; its one solution with Im m1, Im m2 > 0
+is the Herglotz one.
 """
 
 from __future__ import annotations
@@ -214,10 +214,9 @@ def sbm_recovery_prediction(
 # ---------------------------------------------------------------------------
 
 
-# The QVE's numerics: Picard damping, iteration cap, residual tolerance,
-# and the height above the axis at which the density is read.
-_QVE_DAMPING = 0.5
-_QVE_MAX_ITER = 200_000
+# The QVE's numerics: the Newton-step cap per height, the residual
+# tolerance, and the height above the axis at which the density is read.
+_QVE_MAX_ITER = 100
 _QVE_TOL = 1e-12
 _QVE_ETA = 1e-3
 
@@ -237,89 +236,48 @@ def _qve_residuals(beta, s2, sb2, z, m1, m2):
     return r1, r2
 
 
-def _picard_step(beta, s2, sb2, z, m1, m2):
-    t1 = -1.0 / (z + beta * s2 * m1 + (1.0 - beta) * sb2 * m2)
-    t2 = -1.0 / (z + beta * sb2 * m1 + (1.0 - beta) * s2 * m2)
-    return m1 + _QVE_DAMPING * (t1 - m1), m2 + _QVE_DAMPING * (t2 - m2)
+def _solve_qve(
+    beta: float, s2: float, sb2: float, tau: np.ndarray, etas: tuple[float, ...]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """(m1, m2) on tau + i eta at each of the descending heights etas, and
+    the number of Newton steps taken.
 
-
-def _solve_qve_grid(
-    beta: float,
-    s2: float,
-    sb2: float,
-    z: np.ndarray,
-    tol: float,
-    m_init: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Vectorized solver over a grid of spectral parameters.
-
-    Damped Picard iteration (which preserves the upper half-plane) plus a
-    Newton step that is accepted pointwise only when it stays Herglotz
-    and strictly reduces the residual.
+    Starts at max(etas[0], 0.25 sigma_scale) from m1 = m2 = -1/z and comes
+    down tenfold to etas[0], then to each further height, each warm-started
+    from the one above; a point stops at residual <= _QVE_TOL. A height not
+    solved in _QVE_MAX_ITER steps, or solved outside the upper half-plane
+    (the Herglotz solution is the only one there), is a ConvergenceError.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0.0):
-        raise ParameterError("all spectral parameters need imag(z) > 0")
-    if m_init is None:
-        m1 = -1.0 / z
-        m2 = m1.copy()
-    else:
-        m1 = np.asarray(m_init[0], dtype=complex).copy()
-        m2 = np.asarray(m_init[1], dtype=complex).copy()
-    iterations = 0
-    for iterations in range(1, _QVE_MAX_ITER + 1):
-        r1, r2 = _qve_residuals(beta, s2, sb2, z, m1, m2)
-        res = np.maximum(np.abs(r1), np.abs(r2))
-        if np.all(res <= tol):
-            return m1, m2, iterations, res
-        active = res > tol
-        p1, p2 = _picard_step(beta, s2, sb2, z, m1, m2)
-        # Newton on F(m) = 0 with the 2x2 Jacobian, solved by Cramer.
-        j11 = z + 2.0 * beta * s2 * m1 + (1.0 - beta) * sb2 * m2
-        j12 = (1.0 - beta) * sb2 * m1
-        j21 = beta * sb2 * m2
-        j22 = z + beta * sb2 * m1 + 2.0 * (1.0 - beta) * s2 * m2
-        det = j11 * j22 - j12 * j21
-        ok = np.abs(det) > 1e-300
-        safe_det = np.where(ok, det, 1.0)
-        n1 = m1 - (r1 * j22 - r2 * j12) / safe_det
-        n2 = m2 - (r2 * j11 - r1 * j21) / safe_det
-        nr1, nr2 = _qve_residuals(beta, s2, sb2, z, n1, n2)
-        nres = np.maximum(np.abs(nr1), np.abs(nr2))
-        keep = ok & (n1.imag > 0.0) & (n2.imag > 0.0) & (nres < res)
-        m1 = np.where(active, np.where(keep, n1, p1), m1)
-        m2 = np.where(active, np.where(keep, n2, p2), m2)
+    ladder = [max(etas[0], 0.25 * math.sqrt(0.5 * (s2 + sb2)))]
+    while ladder[-1] > etas[0] * (1.0 + 1e-12):
+        ladder.append(max(ladder[-1] / 10.0, etas[0]))
+    ladder += etas[1:]
+    m1 = m2 = -1.0 / (tau + 1j * ladder[0])
+    solutions, steps = [], 0
+    for eta in ladder:
+        z = tau + 1j * eta
+        for step in range(_QVE_MAX_ITER + 1):
+            r1, r2 = _qve_residuals(beta, s2, sb2, z, m1, m2)
+            res = np.maximum(np.abs(r1), np.abs(r2))
+            active = ~(res <= _QVE_TOL)  # a NaN residual stays active
+            if not active.any():
+                break
+            if step == _QVE_MAX_ITER:
+                msg = f"QVE did not reach tol={_QVE_TOL} in {_QVE_MAX_ITER} Newton steps"
+                raise ConvergenceError(msg, float(np.max(res)))
+            # Newton on F(m) = 0 with the 2x2 Jacobian, solved by Cramer.
+            j11 = z + 2.0 * beta * s2 * m1 + (1.0 - beta) * sb2 * m2
+            j12 = (1.0 - beta) * sb2 * m1
+            j21 = beta * sb2 * m2
+            j22 = z + beta * sb2 * m1 + 2.0 * (1.0 - beta) * s2 * m2
+            det = j11 * j22 - j12 * j21
+            m1 = np.where(active, m1 - (r1 * j22 - r2 * j12) / det, m1)
+            m2 = np.where(active, m2 - (r2 * j11 - r1 * j21) / det, m2)
+        steps += step
         if np.any(m1.imag <= 0.0) or np.any(m2.imag <= 0.0):
-            raise ConvergenceError("iterate left the upper half-plane", float(np.max(res)))
-    r1, r2 = _qve_residuals(beta, s2, sb2, z, m1, m2)
-    res = np.maximum(np.abs(r1), np.abs(r2))
-    raise ConvergenceError(
-        f"QVE did not reach tol={tol} in {_QVE_MAX_ITER} iterations", float(np.max(res))
-    )
-
-
-def _solve_qve_ladder(
-    beta: float, s2: float, sb2: float, tau: np.ndarray, eta: float, tol: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve at tau + i eta by continuation from a comfortable height.
-
-    Close to the real axis the Picard map contracts at rate 1 - O(eta),
-    so the solve starts at eta ~ bulk scale and warm-starts each tenfold
-    reduction, where the Newton step does the work.
-    """
-    tau = np.asarray(tau, dtype=float)
-    sigma_scale = math.sqrt(0.5 * (s2 + sb2))
-    eta_start = max(eta, 0.25 * sigma_scale)
-    etas = [eta_start]
-    while etas[-1] > eta * (1.0 + 1e-12):
-        etas.append(max(etas[-1] / 10.0, eta))
-    m = None
-    total = 0
-    for stage_eta in etas:
-        m1, m2, iters, _ = _solve_qve_grid(beta, s2, sb2, tau + 1j * stage_eta, tol, m_init=m)
-        m = (m1, m2)
-        total += iters
-    return m[0], m[1], total
+            raise ConvergenceError("QVE solution left the upper half-plane", float(np.max(res)))
+        solutions.append((m1, m2))
+    return solutions[-len(etas) :], steps
 
 
 def solve_qve_two_block(beta: float, sigma: float, sigma_bar: float, z: complex) -> QveSolution:
@@ -331,12 +289,10 @@ def solve_qve_two_block(beta: float, sigma: float, sigma_bar: float, z: complex)
     z = complex(z)
     if z.imag <= 0.0:
         raise ParameterError(f"need imag(z) > 0, got {z}")
-    m1, m2, iterations = _solve_qve_ladder(
-        beta, sigma**2, sigma_bar**2, np.array([z.real]), z.imag, _QVE_TOL
-    )
+    ((m1, m2),), steps = _solve_qve(beta, sigma**2, sigma_bar**2, np.array([z.real]), (z.imag,))
     r1, r2 = _qve_residuals(beta, sigma**2, sigma_bar**2, z, m1[0], m2[0])
     res = max(abs(r1), abs(r2))
-    return QveSolution(z, complex(m1[0]), complex(m2[0]), iterations, float(res))
+    return QveSolution(z, complex(m1[0]), complex(m2[0]), steps, float(res))
 
 
 def spectral_density_from_qve(beta: float, sigma: float, sigma_bar: float, tau_grid) -> np.ndarray:
@@ -348,20 +304,15 @@ def spectral_density_from_qve(beta: float, sigma: float, sigma_bar: float, tau_g
     result is clamped at 0.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    s2, sb2 = sigma**2, sigma_bar**2
-    m1a, m2a, _ = _solve_qve_ladder(beta, s2, sb2, tau, _QVE_ETA, _QVE_TOL)
-    rho_a = (beta * m1a.imag + (1.0 - beta) * m2a.imag) / math.pi
-    m1b, m2b, _, _ = _solve_qve_grid(
-        beta, s2, sb2, tau + 1j * (_QVE_ETA / 10.0), _QVE_TOL, m_init=(m1a, m2a)
-    )
-    rho_b = (beta * m1b.imag + (1.0 - beta) * m2b.imag) / math.pi
+    solutions, _ = _solve_qve(beta, sigma**2, sigma_bar**2, tau, (_QVE_ETA, _QVE_ETA / 10.0))
+    rho_a, rho_b = ((beta * m1.imag + (1.0 - beta) * m2.imag) / math.pi for m1, m2 in solutions)
     return np.clip((10.0 * rho_b - rho_a) / 9.0, 0.0, None)
 
 
 def _bulk_transform(beta: float, sigma: float, sigma_bar: float, tau: float) -> complex:
     """The whole bulk's transform beta m1 + (1-beta) m2 at tau + 1e-9 i,
     the height at which the edge and outlier searches probe the axis."""
-    m1, m2, _ = _solve_qve_ladder(beta, sigma**2, sigma_bar**2, np.array([tau]), 1e-9, 1e-13)
+    ((m1, m2),), _ = _solve_qve(beta, sigma**2, sigma_bar**2, np.array([tau]), (1e-9,))
     return beta * m1[0] + (1.0 - beta) * m2[0]
 
 

@@ -1,9 +1,9 @@
 import json
 import math
 import threading
-import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -320,25 +320,20 @@ def test_trial_memory_budget(raw, trial, tmp_path):
     assert peak / (8 * n * n) <= 1.5
 
 
-def test_default_threads_follow_usable_cores(monkeypatch):
-    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1})
-    lock = threading.Lock()
-    running, peak, names = 0, 0, set()
+def test_default_threads_run_on_the_calling_thread(monkeypatch, tmp_path):
+    """At the default thread count every tuple runs on the calling thread:
+    a second sweep thread buys nothing on Lanczos trials and doubles the
+    trial buffers."""
+    names = []
 
-    def worker(index, tup):
-        nonlocal running, peak
-        with lock:
-            running += 1
-            peak = max(peak, running)
-            names.add(threading.current_thread().name)
-        time.sleep(0.01)
-        with lock:
-            running -= 1
-        return index
+    def trial(cfg, n, c, t, seed):
+        names.append(threading.current_thread().name)
+        return (n, c, t, seed, 0.0, 0.0, 0.0, 0.0)
 
-    assert sweeps._run_tuples(worker, list(range(24)), None) == list(range(24))
-    assert peak <= 2
-    assert len(names) <= 2
+    signed = sweeps._SWEEPS["signed-sweep"]
+    monkeypatch.setitem(sweeps._SWEEPS, "signed-sweep", replace(signed, trial=trial, plots=(), theory=None))
+    run_experiment(parse_config(signed_cfg()), tmp_path)
+    assert names == [threading.current_thread().name] * 12
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +562,13 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         signed_cfg(trials_per_point="many"),
         signed_cfg(base_seed="s"),
         signed_cfg(threads=2),
+        signed_cfg(n_list=[math.inf]),
+        signed_cfg(n_list=[40.9]),
+        signed_cfg(trials_per_point=1.7),
+        signed_cfg(trials_per_point=True),
         ESD_CFG | {"range": [1]},
         ESD_CFG | {"bins": "x"},
+        ESD_CFG | {"bins": math.inf},
         ESD_CFG | {"eta": 1e-3},
         ESD_CFG | {"qve_max_iter": 1},
         ESD_CFG | {"n_list": [60, 80]},
@@ -577,6 +577,7 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         PREDICT_CFG | {"alpha": math.inf},
         PREDICT_CFG | {"alpha": 0.7},
         PREDICT_CFG | {"alpha": -0.2},
+        PREDICT_CFG | {"base_seed": -math.inf},
     ],
     ids=[
         "c_grid",
@@ -584,8 +585,13 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         "trials_per_point",
         "base_seed",
         "threads",
+        "n_list-inf",
+        "n_list-fraction",
+        "trials_per_point-fraction",
+        "trials_per_point-bool",
         "esd-range",
         "esd-bins",
+        "esd-bins-inf",
         "esd-eta",
         "esd-qve_max_iter",
         "esd-n_list",
@@ -594,6 +600,7 @@ PREDICT_CFG = {"experiment": "predict", "c_grid": [1.0], "alpha": "1/3", "f": F_
         "predict-alpha-inf",
         "predict-alpha-0.7",
         "predict-alpha-negative",
+        "predict-base_seed-inf",
     ],
 )
 def test_cli_malformed_value_exits_2(tmp_path, capsys, raw):

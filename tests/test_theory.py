@@ -262,6 +262,31 @@ def test_support_edge_and_numeric_outlier_match_closed_forms():
     assert loc is not None and loc > edge
 
 
+@pytest.mark.parametrize("beta", [0.01, 1.0 / 3.0, 0.99])
+@pytest.mark.parametrize("sigma, sigma_bar", [(1e-3, 1e3), (5.0, 0.1), (1.0, 1.0 + 2.0**-52)])
+@pytest.mark.parametrize("eta", [1e-3, 1e-9])
+def test_qve_newton_continuation_stays_herglotz(beta, sigma, sigma_bar, eta):
+    """Extreme block ratios, skewed beta and a near-tie of the variances,
+    on and around the support close to the axis: Newton alone reaches the
+    Herglotz solution at every point."""
+    s2, sb2 = sigma**2, sigma_bar**2
+    tau = np.linspace(-6.0, 6.0, 401) * max(sigma, sigma_bar)
+    ((m1, m2),), steps = theory._solve_qve(beta, s2, sb2, tau, (eta,))
+    z = tau + 1j * eta
+    r1 = z * m1 + beta * s2 * m1**2 + (1 - beta) * sb2 * m1 * m2 + 1.0
+    r2 = z * m2 + beta * sb2 * m1 * m2 + (1 - beta) * s2 * m2**2 + 1.0
+    assert np.all(m1.imag > 0.0) and np.all(m2.imag > 0.0)
+    assert float(np.max(np.maximum(np.abs(r1), np.abs(r2)))) <= 1e-12
+    assert steps > 0
+
+
+def test_support_edge_and_numeric_outlier_pinned():
+    """The edge and outlier bisections pinned bit for bit: a change to the
+    QVE's numerics that flips one of their decisions moves these values."""
+    assert theory.qve_support_edge(1.0 / 3.0, 1.0, 0.6) == 1.736630686049466
+    assert theory.sbm_numeric_outlier(1.0 / 3.0, 1.0, 0.6, 3.0) == 3.239297967383129
+
+
 # ---------------------------------------------------------------------------
 # SBM recovery prediction
 # ---------------------------------------------------------------------------
