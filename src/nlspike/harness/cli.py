@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..errors import ConfigError, ConvergenceError, NlspikeError
@@ -37,13 +38,27 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: from config)")
-        p.add_argument("--threads", type=int, default=1, help="sweep threads (default 1)")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="sweep worker processes (default 1: trials run in this process); "
+            "k > 1 sets 1 BLAS thread per worker unless OPENBLAS_NUM_THREADS, "
+            "OMP_NUM_THREADS or MKL_NUM_THREADS is set",
+        )
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
     return parser
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads > 1 and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        # k workers at the BLAS default of one thread per core oversubscribe
+        # the cores; each spawned worker's BLAS reads these when it loads
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         cfg = load_config(args.config)
         if cfg.experiment != args.command:

@@ -2,16 +2,26 @@
 
 Each tuple gets its seed from (base_seed, tuple index) through the
 splitmix64 finalizer, and results are collected in tuple-index order
-before writing, so serial and parallel runs produce identical bytes.
-CSV cells are formatted with repr(), the shortest round-trip form.
+before writing, so serial and parallel runs produce identical bytes at
+the same BLAS thread count. CSV cells are formatted with repr(), the
+shortest round-trip form.
+
+threads = 1 runs the trials on the calling thread; k > 1 runs them on k
+worker processes, because scipy's BLAS and LAPACK wrappers hold the GIL
+and threads would not overlap. The pool is spawned (forking after OpenBLAS
+has started its threads is unsafe) on the first parallel sweep and kept
+for later sweeps at the same count; its workers inherit the caller's
+environment, BLAS thread variables included, and are joined at
+interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -60,15 +70,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: tuple, rows: list[tupl
 def _write_json(path: Path, entries: list[dict]) -> Path:
     path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _run_tuples(worker, tuples, threads: int):
-    """Map worker over tuples, preserving tuple order in the output; one
-    thread runs them on the calling thread."""
-    if threads == 1:
-        return [worker(i, t) for i, t in enumerate(tuples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(len(tuples)), tuples))
 
 
 def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
@@ -184,6 +185,39 @@ _SWEEPS = {
 }
 
 
+def _task(cfg: ExperimentConfig, index: int, tup: tuple) -> tuple:
+    """The CSV row of tuple `index`: its trial at the index's seed."""
+    return _SWEEPS[cfg.experiment].trial(cfg, *tup, derive_seed(cfg.base_seed, index))
+
+
+_POOL = None  # (workers, ProcessPoolExecutor) of the last parallel sweep
+
+
+def _pool(workers: int):
+    """The worker pool at this size: spawned on first use and reused, and
+    replaced when the size changes or a worker died (a broken executor
+    refuses work and says why in `_broken`)."""
+    global _POOL
+    if _POOL is None or _POOL[0] != workers or _POOL[1]._broken:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _close_pool()
+        context = multiprocessing.get_context("spawn")
+        _POOL = (workers, ProcessPoolExecutor(workers, mp_context=context))
+    return _POOL[1]
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Join the pool's workers and drop it; at exit this runs while the
+    executor's finalizer can still reach the modules it logs through."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[1].shutdown()
+        _POOL = None
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Path]:
     """One CSV row per (n, c, trial) from the experiment's trial kernel,
     then its summary rows, its per-c theory JSON and one SVG per plotted
@@ -192,18 +226,19 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Pat
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tuples = [(n, c, t) for n in cfg.n_list for c in cfg.c_grid for t in range(cfg.trials_per_point)]
-
-    def worker(index: int, tup):
-        return sweep.trial(cfg, *tup, derive_seed(cfg.base_seed, index))
-
-    rows = _run_tuples(worker, tuples, threads)
+    args = (repeat(cfg), range(len(tuples)), tuples)
+    # with workers, the trials run while this process computes the theory
+    pending = list(map(_task, *args)) if threads == 1 else _pool(threads).map(_task, *args)
+    try:
+        theory = None if sweep.theory is None else [sweep.theory(cfg, c) for c in cfg.c_grid]
+    finally:
+        rows = list(pending)  # a failed trial is reported first, as on one thread
     if sweep.summary is not None:
         rows += sweep.summary(cfg, rows)
     csv_path = out_dir / f"{sweep.stem}.csv"
     _write_csv(csv_path, cfg, sweep.header, rows)
     artifacts = {"csv": csv_path}
-    if sweep.theory is not None:
-        theory = [sweep.theory(cfg, c) for c in cfg.c_grid]
+    if theory is not None:
         artifacts["theory"] = _write_json(out_dir / f"{sweep.stem}_theory.json", theory)
     single = len(sweep.plots) == 1
     for col in sweep.plots:
