@@ -13,6 +13,13 @@ has started its threads is unsafe) on the first parallel sweep and kept
 for later sweeps at the same count; its workers inherit the caller's
 environment, BLAS thread variables included, and are joined at
 interpreter exit.
+
+Every thread that runs trials, each worker's included, draws them into
+one float64 buffer of its own, made at its first trial for the largest
+n of the sweep and replaced only by a sweep that needs more; it lives as
+long as its thread. With a fresh buffer per trial, glibc would keep a
+freed buffer of at most 32 MiB (n below about 2048) resident in its
+heap, where the next, larger trial's buffer cannot reuse it.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import atexit
 import json
 import math
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -30,7 +38,7 @@ import numpy as np
 from .. import __version__
 from .. import distributions as dist
 from ..decomposition import signal_plus_noise
-from ..errors import ConfigError
+from ..errors import ConfigError, NlspikeError
 from ..matrixgen import (
     SbmSpec,
     SpikeParams,
@@ -87,11 +95,32 @@ def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
 # Trial kernels and per-c theory: (cfg, n, c, trial, seed) -> row, (cfg, c) -> dict
 # ---------------------------------------------------------------------------
 
+_BUFFER = threading.local()  # .array: this thread's flat trial buffer
+
+
+def _trial_buffer(cfg: ExperimentConfig, n: int) -> np.ndarray:
+    """An n x n C-contiguous view of this thread's trial buffer, which is
+    made with max(cfg.n_list)^2 entries and replaced only when a sweep
+    needs more. The view's lower triangle holds what the last trial left;
+    nothing reads it."""
+    size = max(cfg.n_list) ** 2
+    if getattr(_BUFFER, "array", np.empty(0)).size < size:
+        _BUFFER.array = None  # free the smaller buffer before making the larger
+        # glibc mmaps a request above its mmap threshold, and freeing such
+        # a chunk of at most 32 MiB raises the threshold to its size and the
+        # heap's trim threshold to twice that. One unused buffer freed here
+        # does what the fresh buffer of every trial did: the trial's
+        # temporaries then stay in an untrimmed heap, where without it an
+        # n = 2000 trial page-faulted 6,900 times (15 ms).
+        np.empty(size)
+        _BUFFER.array = np.empty(size)
+    return _BUFFER.array[: n * n].reshape(n, n)
+
 
 def _signed_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Top two eigenvalues of the observation and the correlations of the
     top pair with the constant direction and of the second with the signal."""
-    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0), out=_trial_buffer(cfg, n))
     x = rademacher_signal(n, derive_seed(seed, 1))
     Y = assemble_observation(W, cfg.f, SpikeParams(c, cfg.alpha, n), x)
     pairs = sym_eig_top(Y, 2)
@@ -107,7 +136,7 @@ def _signed_theory(cfg: ExperimentConfig, c: float) -> dict:
 
 def _sbm_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Transformed block model with separation 2 c n^(alpha - 1/2)."""
-    r = run_sbm_trial(_shifted_spec(cfg, n, c), cfg.f, seed)
+    r = run_sbm_trial(_shifted_spec(cfg, n, c), cfg.f, seed, out=_trial_buffer(cfg, n))
     g = r.top_eigenvalues
     alpha = float(cfg.alpha)
     return (n, cfg.beta, c, alpha, seed, g[0], g[1], g[2], g[3], r.overlap_top, r.overlap_second)
@@ -129,7 +158,7 @@ def _sbm_theory(cfg: ExperimentConfig, c: float) -> dict:
 
 def _decompose_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -> tuple:
     """Operator-norm remainder of the signal-plus-noise approximation."""
-    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0))
+    W = sample_wigner(n, cfg.noise, derive_seed(seed, 0), out=_trial_buffer(cfg, n))
     x = rademacher_signal(n, derive_seed(seed, 1))
     sp = SpikeParams(c, cfg.alpha, n)
     report = signal_plus_noise(W, cfg.f, sp, x, cfg.noise)
@@ -208,6 +237,17 @@ def _pool(workers: int):
     return _POOL[1]
 
 
+def _gather(pending, workers: int) -> list[tuple]:
+    """The workers' rows in tuple order. A worker that died (killed for
+    memory at large n, say) breaks the pool; that becomes a package error."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(pending)
+    except BrokenProcessPool:
+        raise NlspikeError(f"a sweep worker process died, one of {workers}; no rows were written") from None
+
+
 @atexit.register
 def _close_pool() -> None:
     """Join the pool's workers and drop it; at exit this runs while the
@@ -232,7 +272,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Pat
     try:
         theory = None if sweep.theory is None else [sweep.theory(cfg, c) for c in cfg.c_grid]
     finally:
-        rows = list(pending)  # a failed trial is reported first, as on one thread
+        # a failed trial is reported first, as on one thread
+        rows = pending if threads == 1 else _gather(pending, threads)
     if sweep.summary is not None:
         rows += sweep.summary(cfg, rows)
     csv_path = out_dir / f"{sweep.stem}.csv"

@@ -8,7 +8,8 @@ check. `mirror_upper` fills the lower triangle where a full matrix is
 wanted.
 
 `sample_wigner` and `sample_sbm_adjacency` draw the noise row by row into
-the upper triangle of a fresh n x n buffer. The builders
+the upper triangle of a fresh n x n buffer, or of the caller's `out` (the
+sweeps pass each trial a view of one reused buffer). The builders
 (`assemble_observation`, `sbm.transform_and_embed`,
 `decomposition.signal_plus_noise`) form their matrix there in place with
 `form_upper`, in row blocks of BLOCK_ROWS rows, each from its diagonal on.
@@ -163,16 +164,22 @@ def mirror_upper(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _draw_upper(n: int, n_plus: int, laws, gens) -> UpperTriangle:
-    """Fresh n x n buffer whose upper triangle holds draws of laws[0] within
-    the blocks split at n_plus and of laws[1] across; each law's stream
-    fills its entries in row-major order. Row i's upper part is one run
-    within, [i, n_plus) or [i, n), and above the split one run across,
-    [n_plus, n); each block of rows draws each law's runs in one fill.
-    Nothing below the diagonal is written."""
+def _draw_upper(n: int, n_plus: int, laws, gens, out: np.ndarray | None) -> UpperTriangle:
+    """out (a fresh buffer if None), an n x n float64 C-contiguous writeable
+    array, whose upper triangle holds draws of laws[0] within the blocks
+    split at n_plus and of laws[1] across; each law's stream fills its
+    entries in row-major order. Row i's upper part is one run within,
+    [i, n_plus) or [i, n), and above the split one run across, [n_plus, n);
+    each block of rows draws each law's runs in one fill. Nothing below
+    the diagonal is written."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    out = np.empty((n, n))
+    if out is None:
+        out = np.empty((n, n))
+    elif not (isinstance(out, np.ndarray) and out.shape == (n, n) and out.dtype == np.float64
+              and out.flags.c_contiguous and out.flags.writeable):
+        got = f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        raise ParameterError(f"out must be a writeable C-contiguous float64 ({n}, {n}) array, got {got}")
     for lo, hi in row_blocks(n):
         runs = (
             [(i, i, n_plus if i < n_plus else n) for i in range(lo, hi)],
@@ -189,16 +196,17 @@ def _draw_upper(n: int, n_plus: int, laws, gens) -> UpperTriangle:
     return UpperTriangle(out)
 
 
-def sample_wigner(n: int, d: Distribution, seed: int) -> UpperTriangle:
-    """Symmetric n x n matrix with i.i.d. entries on and above the diagonal."""
-    return _draw_upper(n, n, (d, d), (generator(seed), None))
+def sample_wigner(n: int, d: Distribution, seed: int, out: np.ndarray | None = None) -> UpperTriangle:
+    """Symmetric n x n matrix with i.i.d. entries on and above the diagonal,
+    drawn into `out` if given (n x n, float64, C-contiguous, writeable)."""
+    return _draw_upper(n, n, (d, d), (generator(seed), None), out)
 
 
-def sample_sbm_adjacency(spec: SbmSpec, seed: int) -> UpperTriangle:
+def sample_sbm_adjacency(spec: SbmSpec, seed: int, out: np.ndarray | None = None) -> UpperTriangle:
     """Weighted adjacency: within-block entries (diagonal included) from
-    `within`, cross-block from `across`."""
+    `within`, cross-block from `across`; drawn into `out` as sample_wigner."""
     gens = generator(derive_seed(seed, 0)), generator(derive_seed(seed, 1))
-    return _draw_upper(spec.n, spec.n_plus, (spec.within, spec.across), gens)
+    return _draw_upper(spec.n, spec.n_plus, (spec.within, spec.across), gens, out)
 
 
 def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: float = 0.0):

@@ -288,16 +288,38 @@ def moment_table(f: NonlinearFn, d: Distribution, k_max: int) -> dict[int, float
     return {k: derivative_moment(f, k, d) for k in range(k_max + 1)}
 
 
+def _poly_sd(coeffs, d: Distribution) -> float:
+    """SD of sum_j coeffs[j] Z^j from raw moments; inf or nan on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_sq = _poly_expectation(np.convolve(coeffs, coeffs), d)
+        mean_f = _poly_expectation(coeffs, d)
+        try:
+            return math.sqrt(max(mean_sq - mean_f**2, 0.0))
+        except OverflowError:
+            return math.inf
+
+
 def sd_f(f: NonlinearFn, d: Distribution) -> float:
-    """Standard deviation of f(Z) with Z ~ d, on the path expectation takes."""
+    """Standard deviation of f(Z) with Z ~ d, on the path expectation takes.
+
+    A polynomial whose square's moments overflow is solved again with its
+    coefficients scaled by a power of two, which is exact, so every f
+    whose direct form is finite keeps its bits. Raises ParameterError when
+    the SD is not a finite float."""
     if isinstance(f, Polynomial):
-        mean_sq = _poly_expectation(np.convolve(f.coeffs, f.coeffs), d)
-        mean_f = _poly_expectation(f.coeffs, d)
-        return math.sqrt(max(mean_sq - mean_f**2, 0.0))
-    mean_f, _, _ = expectation(f, d)
-    x, w, _ = _rule(d, DEFAULT_GH_NODES)
-    var = float(w @ (evaluate(f, x) - mean_f) ** 2)
-    return math.sqrt(max(var, 0.0))
+        sd = _poly_sd(f.coeffs, d)
+        if not math.isfinite(sd):
+            _, e = math.frexp(max(map(abs, f.coeffs)))
+            with np.errstate(over="ignore"):
+                sd = float(np.ldexp(_poly_sd([math.ldexp(c, -e) for c in f.coeffs], d), e))
+    else:
+        mean_f, _, _ = expectation(f, d)
+        x, w, _ = _rule(d, DEFAULT_GH_NODES)
+        var = float(w @ (evaluate(f, x) - mean_f) ** 2)
+        sd = math.sqrt(max(var, 0.0))
+    if not math.isfinite(sd):
+        raise ParameterError(f"the SD of f = {f!r} under {d!r} overflows a float")
+    return sd
 
 
 def gamma_moment(f: NonlinearFn, k: int, d: Distribution) -> float:

@@ -64,8 +64,9 @@ class SbmTrialResult:
             raise ParameterError("overlaps must lie in [0, 1]")
 
 
-def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
-    """One generate -> transform -> embed -> recover -> score pass.
+def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int, out: np.ndarray | None = None) -> SbmTrialResult:
+    """One generate -> transform -> embed -> recover -> score pass, in a
+    fresh buffer or in `out` as sample_sbm_adjacency takes it.
 
     Both the top and second eigenvector recoveries are scored, from one
     top-4 eigensolve, so a misprediction of the signal-carrying pair
@@ -73,7 +74,7 @@ def run_sbm_trial(spec: SbmSpec, f: NonlinearFn, seed: int) -> SbmTrialResult:
     f and the block laws, not of the trial: it is
     RegimePrediction.which_eigenpair of `sbm_recovery_prediction`.
     """
-    Y = transform_and_embed(sample_sbm_adjacency(spec, seed), f)
+    Y = transform_and_embed(sample_sbm_adjacency(spec, seed, out), f)
     k = min(4, spec.n)
     pairs = sym_eig_top(Y, k)
     top4 = tuple(float(v) for v in pairs.values) + (float("nan"),) * (4 - k)

@@ -303,7 +303,9 @@ def test_trial_memory_budget(raw, trial, tmp_path):
     builders read 4.0 (signed) and 6.0 (decompose); building the remainder
     in one buffer with a copy-free Lanczos norm took decompose to 2.25, and
     drawing the noise into the buffer the trial transforms in place took
-    every trial to about 1.2 (sbm-sweep and esd read 3.0 and 2.06 before)."""
+    every trial to about 1.2 (sbm-sweep and esd read 3.0 and 2.06 before).
+    The warm-up's trial buffer is dropped, so the traced run makes its own
+    and counts it."""
     n = 1024
     cfg = parse_config(sweep_cfg(n_list=[n], c_grid=[2.6], **raw))
 
@@ -311,6 +313,7 @@ def test_trial_memory_budget(raw, trial, tmp_path):
         return sweeps.run_esd(cfg, tmp_path) if trial is None else trial(cfg, n, 2.6, 0, 123)
 
     run()  # warm-up: caches and lazy imports
+    vars(sweeps._BUFFER).clear()
     tracemalloc.start()
     try:
         run()
@@ -318,6 +321,72 @@ def test_trial_memory_budget(raw, trial, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (8 * n * n) <= 1.5
+
+
+def _record_trial_addresses(monkeypatch, addresses, barrier=None):
+    """Patch the signed trial's solver to append (thread, base address of
+    the trial's matrix) to addresses; with a barrier, every thread's first
+    trial waits there, so the threads' buffers are alive at once."""
+    solve = sweeps.sym_eig_top
+    seen = set()
+
+    def recorded(Y, k):
+        me = threading.get_ident()
+        addresses.append((me, Y.matrix.__array_interface__["data"][0]))
+        if barrier is not None and me not in seen:
+            seen.add(me)
+            barrier.wait(timeout=60)
+        return solve(Y, k)
+
+    monkeypatch.setattr(sweeps, "sym_eig_top", recorded)
+
+
+def test_consecutive_trials_draw_into_one_buffer(monkeypatch, tmp_path):
+    """Every trial of a sweep, at every n, draws into the same memory, and
+    the CSV bytes equal those of trials drawn into fresh buffers."""
+    cfg = parse_config(signed_cfg())
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "_trial_buffer", lambda cfg, n: np.empty((n, n)))
+        fresh = Path(run_experiment(cfg, tmp_path / "fresh")["csv"]).read_bytes()
+    addresses = []
+    _record_trial_addresses(monkeypatch, addresses)
+    vars(sweeps._BUFFER).clear()
+    assert Path(run_experiment(cfg, tmp_path / "reused")["csv"]).read_bytes() == fresh
+    assert len(addresses) == 12 and len(set(addresses)) == 1
+    assert sweeps._BUFFER.array.size == max(cfg.n_list) ** 2
+    # a later sweep no larger keeps the buffer; a larger one replaces it
+    run_experiment(parse_config(signed_cfg(n_list=[80])), tmp_path / "smaller")
+    assert len(set(addresses)) == 1
+    run_experiment(parse_config(signed_cfg(n_list=[120])), tmp_path / "larger")
+    assert sweeps._BUFFER.array.size == 120**2
+
+
+def test_sweeps_on_concurrent_threads_never_share_a_buffer(monkeypatch, tmp_path):
+    """Three sweeps at once, their first trials held at a barrier so every
+    buffer is alive together: each thread draws every trial into its own
+    buffer, and each writes the serial bytes."""
+    cfg = parse_config(signed_cfg())
+    serial = Path(run_experiment(cfg, tmp_path / "serial")["csv"]).read_bytes()
+    names = ("a", "b", "c")
+    addresses, results = [], {}
+    _record_trial_addresses(monkeypatch, addresses, threading.Barrier(len(names)))
+
+    def sweep(name):
+        results[name] = Path(run_experiment(cfg, tmp_path / name)["csv"]).read_bytes()
+
+    threads = [threading.Thread(target=sweep, args=(name,)) for name in names]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert results == dict.fromkeys(names, serial)
+    per_thread = {}
+    for ident, address in addresses:
+        per_thread.setdefault(ident, set()).add(address)
+    assert len(per_thread) == len(names)
+    assert all(len(a) == 1 for a in per_thread.values())
+    assert len(set.union(*per_thread.values())) == len(names)
 
 
 def test_default_threads_run_on_the_calling_thread(monkeypatch, tmp_path):
@@ -398,8 +467,8 @@ def test_trial_kernels_skip_the_symmetry_scan_and_the_mirror(monkeypatch, tmp_pa
     checked = []
 
     def nan_left_of_squares(draw):
-        def drawn(*args):
-            M = draw(*args)
+        def drawn(*args, **kwargs):
+            M = draw(*args, **kwargs)
             for lo, hi in row_blocks(n):
                 M.matrix[lo:hi, :lo] = np.nan
             return M

@@ -94,6 +94,40 @@ def test_wigner_rejects_empty():
         mg.sample_wigner(0, Gaussian(0, 1), seed=0)
 
 
+def test_draws_into_out_equal_fresh_draws():
+    """out= returns the UpperTriangle wrapping out, and its upper triangle
+    holds the bits of a fresh draw whatever out held before."""
+    n = 70
+    spec = SbmSpec(n, 0.5, Gaussian(0.5, 1.0), Gaussian(-0.5, 2.0))
+    upper = np.triu_indices(n)
+    for draw in (lambda **kw: mg.sample_wigner(n, Gaussian(0, 1), 4, **kw),
+                 lambda **kw: mg.sample_sbm_adjacency(spec, 4, **kw)):
+        out = np.full((n, n), np.nan)
+        T = draw(out=out)
+        assert T.matrix is out
+        assert np.array_equal(out[upper], draw().matrix[upper])
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((5, 6)),
+        np.empty((6, 6), dtype=np.float32),
+        np.empty((6, 6), order="F"),
+        np.empty((6, 12))[:, ::2],
+        np.broadcast_to(0.0, (6, 6)),
+        [[0.0] * 6] * 6,
+    ],
+    ids=["shape", "dtype", "fortran", "strided", "read-only", "list"],
+)
+def test_draws_reject_an_unfit_out(out):
+    spec = SbmSpec(6, 0.5, Gaussian(0, 1), Gaussian(0, 1))
+    with pytest.raises(ParameterError, match="out must be"):
+        mg.sample_wigner(6, Gaussian(0, 1), 1, out=out)
+    with pytest.raises(ParameterError, match="out must be"):
+        mg.sample_sbm_adjacency(spec, 1, out=out)
+
+
 def test_rademacher_signal():
     x = mg.rademacher_signal(4, seed=5)
     assert set(np.unique(np.abs(x))) == {0.5}

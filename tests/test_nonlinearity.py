@@ -261,6 +261,18 @@ def test_sd_f_examples():
     assert nlfn.sd_f(Polynomial([5.0]), Uniform(0.0, 1.0)) == 0.0
 
 
+def test_sd_f_survives_overflowing_moments():
+    """E f^2 overflows for f = 1e200 x^2, yet its SD sqrt(2) 1e200 is a
+    float; the power-of-two rescale finds it. An SD above the float range
+    is a ParameterError naming f and the law."""
+    assert nlfn.sd_f(Polynomial([0.0, 0.0, 1e200]), STD_NORMAL) == pytest.approx(math.sqrt(2.0) * 1e200)
+    assert nlfn.sd_f(Polynomial([0.0, 0.0, 1e308]), Uniform(-1.0, 1.0)) == pytest.approx(
+        math.sqrt(4.0 / 45.0) * 1e308
+    )
+    with pytest.raises(ParameterError, match=r"Polynomial.*Gaussian"):
+        nlfn.sd_f(Polynomial([0.0, 0.0, 1e308]), Gaussian(0.0, 10.0))
+
+
 def test_sd_f_named_paths():
     # Var|Z| = 1 - 2/pi for standard normal; quadrature is kink-limited
     exact = math.sqrt(1.0 - 2.0 / math.pi)

@@ -78,6 +78,14 @@ def test_trial_zero_noise_exact_recovery():
     assert mean(spec.within) - mean(spec.across) == pytest.approx(1.0)
 
 
+def test_trial_in_out_equals_a_fresh_trial():
+    spec = SbmSpec(300, 0.5, Gaussian(0.1, 1.0), Gaussian(-0.1, 1.0))
+    out = np.full((300, 300), np.nan)
+    assert sbm.run_sbm_trial(spec, F_SBM, seed=6, out=out) == sbm.run_sbm_trial(spec, F_SBM, seed=6)
+    with pytest.raises(ParameterError, match="out must be"):
+        sbm.run_sbm_trial(spec, F_SBM, seed=6, out=np.empty((300, 300), order="F"))
+
+
 def test_trial_no_signal_has_low_overlap():
     # equal laws and an odd transform with zero mean: nothing to find
     spec = SbmSpec(2000, 0.5, Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))

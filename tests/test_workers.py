@@ -3,6 +3,7 @@ process boundary, and the CLI's BLAS default for its workers."""
 
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -12,11 +13,14 @@ import sys
 import time
 from pathlib import Path
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 import nlspike
 from nlspike import errors
 from nlspike.harness import parse_config, run_experiment, sweeps
+from nlspike.harness.cli import main as cli_main
 
 SRC = Path(nlspike.__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -147,6 +151,49 @@ def test_cli_overflowing_trial_exits_2_at_every_worker_count(tmp_path):
     for r in results:
         assert r.returncode == 2
         assert r.stderr == "error: matrix has non-finite entries\n"
+
+
+class _DeadPool:
+    """A pool whose result iterator raises as an executor's does once one
+    of its workers died."""
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+        yield
+
+
+def test_dead_worker_becomes_a_package_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(sweeps, "_pool", lambda workers: _DeadPool())
+    with pytest.raises(errors.NlspikeError, match="one of 3") as info:
+        run_experiment(parse_config(signed_raw()), tmp_path, threads=3)
+    assert "\n" not in str(info.value)
+    assert not (tmp_path / "signed_sweep.csv").exists()
+
+
+def test_cli_dead_worker_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sweeps, "_pool", lambda workers: _DeadPool())
+    for var in BLAS_VARS:  # so main leaves this process's environment as it is
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(signed_raw()))
+    args = ["signed-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "2"]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err == "error: a sweep worker process died, one of 2; no rows were written\n"
+
+
+def test_cli_huge_but_finite_f_ends_without_a_traceback(tmp_path):
+    """f = 1e200 x^2 overflows E f^2 but not its SD or its trials: the
+    sweep ends in exit 0 with a finite sigma_f, or, where a later stage
+    cannot represent its result, in exit 2 with one line."""
+    raw = signed_raw(n_list=[40], c_grid=[1.0], trials_per_point=1)
+    raw["f"] = {"kind": "polynomial", "coeffs": [0.0, 0.0, 1e200]}
+    result, out = run_cli(tmp_path, raw, 1)
+    assert result.returncode in (0, 2), result.stderr
+    if result.returncode == 0:
+        (entry,) = json.loads((out / "signed_sweep_theory.json").read_text())
+        assert math.isfinite(entry["sigma_f"]) and entry["sigma_f"] > 1e200
+    else:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
