@@ -28,6 +28,7 @@ import atexit
 import json
 import math
 import threading
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -104,8 +105,12 @@ def _trial_buffer(cfg: ExperimentConfig, n: int) -> np.ndarray:
     needs more. The view's lower triangle holds what the last trial left;
     nothing reads it."""
     size = max(cfg.n_list) ** 2
-    if getattr(_BUFFER, "array", np.empty(0)).size < size:
-        _BUFFER.array = None  # free the smaller buffer before making the larger
+    buf = getattr(_BUFFER, "array", None)
+    if buf is None or buf.size < size:
+        # free the smaller buffer before making the larger; a failed
+        # allocation then leaves this thread with none, not a stale one
+        del buf
+        vars(_BUFFER).pop("array", None)
         # glibc mmaps a request above its mmap threshold, and freeing such
         # a chunk of at most 32 MiB raises the threshold to its size and the
         # heap's trim threshold to twice that. One unused buffer freed here
@@ -237,17 +242,6 @@ def _pool(workers: int):
     return _POOL[1]
 
 
-def _gather(pending, workers: int) -> list[tuple]:
-    """The workers' rows in tuple order. A worker that died (killed for
-    memory at large n, say) breaks the pool; that becomes a package error."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return list(pending)
-    except BrokenProcessPool:
-        raise NlspikeError(f"a sweep worker process died, one of {workers}; no rows were written") from None
-
-
 @atexit.register
 def _close_pool() -> None:
     """Join the pool's workers and drop it; at exit this runs while the
@@ -272,8 +266,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Pat
     try:
         theory = None if sweep.theory is None else [sweep.theory(cfg, c) for c in cfg.c_grid]
     finally:
-        # a failed trial is reported first, as on one thread
-        rows = pending if threads == 1 else _gather(pending, threads)
+        try:
+            rows = list(pending)  # a failed trial is reported first, as on one thread
+        except BrokenExecutor:
+            # a worker died (killed for memory at large n, say) and broke the pool
+            raise NlspikeError(
+                f"a sweep worker process died, one of {threads}; no rows were written"
+            ) from None
     if sweep.summary is not None:
         rows += sweep.summary(cfg, rows)
     csv_path = out_dir / f"{sweep.stem}.csv"

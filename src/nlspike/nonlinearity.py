@@ -288,30 +288,20 @@ def moment_table(f: NonlinearFn, d: Distribution, k_max: int) -> dict[int, float
     return {k: derivative_moment(f, k, d) for k in range(k_max + 1)}
 
 
-def _poly_sd(coeffs, d: Distribution) -> float:
-    """SD of sum_j coeffs[j] Z^j from raw moments; inf or nan on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_sq = _poly_expectation(np.convolve(coeffs, coeffs), d)
-        mean_f = _poly_expectation(coeffs, d)
-        try:
-            return math.sqrt(max(mean_sq - mean_f**2, 0.0))
-        except OverflowError:
-            return math.inf
-
-
 def sd_f(f: NonlinearFn, d: Distribution) -> float:
     """Standard deviation of f(Z) with Z ~ d, on the path expectation takes.
 
-    A polynomial whose square's moments overflow is solved again with its
-    coefficients scaled by a power of two, which is exact, so every f
-    whose direct form is finite keeps its bits. Raises ParameterError when
-    the SD is not a finite float."""
+    A polynomial's moments are taken with its coefficients scaled by the
+    power of two that brings the largest into [0.5, 1), which is exact, so
+    E f^2 neither overflows for huge f nor underflows for tiny f. Raises
+    ParameterError when the SD is not a finite float."""
     if isinstance(f, Polynomial):
-        sd = _poly_sd(f.coeffs, d)
-        if not math.isfinite(sd):
-            _, e = math.frexp(max(map(abs, f.coeffs)))
-            with np.errstate(over="ignore"):
-                sd = float(np.ldexp(_poly_sd([math.ldexp(c, -e) for c in f.coeffs], d), e))
+        _, e = math.frexp(max(map(abs, f.coeffs)))
+        coeffs = [math.ldexp(c, -e) for c in f.coeffs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_sq = _poly_expectation(np.convolve(coeffs, coeffs), d)
+            mean_f = _poly_expectation(coeffs, d)
+            sd = float(np.ldexp(math.sqrt(max(mean_sq - mean_f * mean_f, 0.0)), e))
     else:
         mean_f, _, _ = expectation(f, d)
         x, w, _ = _rule(d, DEFAULT_GH_NODES)

@@ -361,6 +361,30 @@ def test_consecutive_trials_draw_into_one_buffer(monkeypatch, tmp_path):
     assert sweeps._BUFFER.array.size == 120**2
 
 
+def test_failed_buffer_allocation_leaves_the_thread_able_to_sweep(monkeypatch, tmp_path):
+    """A MemoryError while the buffer is made (n_list has no upper bound)
+    leaves the thread with no buffer, so its next sweep makes one."""
+    cfg = parse_config(signed_cfg())
+    size = max(cfg.n_list) ** 2
+    empty = np.empty
+    failures = []
+
+    def failing_once(shape, *args, **kwargs):
+        if shape == size and not failures:
+            failures.append(shape)
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    vars(sweeps._BUFFER).clear()
+    with monkeypatch.context() as m:
+        m.setattr(sweeps.np, "empty", failing_once)
+        with pytest.raises(MemoryError):
+            run_experiment(cfg, tmp_path / "failed")
+    assert failures == [size]
+    run_experiment(cfg, tmp_path / "next")
+    assert sweeps._BUFFER.array.size == size
+
+
 def test_sweeps_on_concurrent_threads_never_share_a_buffer(monkeypatch, tmp_path):
     """Three sweeps at once, their first trials held at a barrier so every
     buffer is alive together: each thread draws every trial into its own

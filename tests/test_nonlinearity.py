@@ -261,11 +261,15 @@ def test_sd_f_examples():
     assert nlfn.sd_f(Polynomial([5.0]), Uniform(0.0, 1.0)) == 0.0
 
 
-def test_sd_f_survives_overflowing_moments():
-    """E f^2 overflows for f = 1e200 x^2, yet its SD sqrt(2) 1e200 is a
-    float; the power-of-two rescale finds it. An SD above the float range
-    is a ParameterError naming f and the law."""
+def test_sd_f_survives_overflowing_and_underflowing_moments():
+    """E f^2 overflows for f = 1e200 x^2 and underflows for f = 1e-300 x^2,
+    yet both SDs sqrt(2) 1e200 and sqrt(2) 1e-300 are floats; the
+    power-of-two rescale finds them. An SD above the float range is a
+    ParameterError naming f and the law."""
     assert nlfn.sd_f(Polynomial([0.0, 0.0, 1e200]), STD_NORMAL) == pytest.approx(math.sqrt(2.0) * 1e200)
+    assert nlfn.sd_f(Polynomial([0.0, 0.0, 1e-300]), STD_NORMAL) == pytest.approx(
+        math.sqrt(2.0) * 1e-300, rel=1e-12, abs=0.0
+    )
     assert nlfn.sd_f(Polynomial([0.0, 0.0, 1e308]), Uniform(-1.0, 1.0)) == pytest.approx(
         math.sqrt(4.0 / 45.0) * 1e308
     )

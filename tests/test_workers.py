@@ -183,17 +183,13 @@ def test_cli_dead_worker_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
 
 def test_cli_huge_but_finite_f_ends_without_a_traceback(tmp_path):
     """f = 1e200 x^2 overflows E f^2 but not its SD or its trials: the
-    sweep ends in exit 0 with a finite sigma_f, or, where a later stage
-    cannot represent its result, in exit 2 with one line."""
+    sweep exits 0 with sigma_f = sqrt(2) 1e200 in its theory JSON."""
     raw = signed_raw(n_list=[40], c_grid=[1.0], trials_per_point=1)
     raw["f"] = {"kind": "polynomial", "coeffs": [0.0, 0.0, 1e200]}
     result, out = run_cli(tmp_path, raw, 1)
-    assert result.returncode in (0, 2), result.stderr
-    if result.returncode == 0:
-        (entry,) = json.loads((out / "signed_sweep_theory.json").read_text())
-        assert math.isfinite(entry["sigma_f"]) and entry["sigma_f"] > 1e200
-    else:
-        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.returncode == 0, result.stderr
+    (entry,) = json.loads((out / "signed_sweep_theory.json").read_text())
+    assert entry["sigma_f"] == pytest.approx(math.sqrt(2.0) * 1e200)
 
 
 # ---------------------------------------------------------------------------
