@@ -18,14 +18,21 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 20, 45
 PALETTE = ("#1f6fb4", "#d95f02", "#2a9d50", "#9467bd", "#c43d3d", "#6b6b6b")
 
 
-def _scale(values, lo, hi, out_lo, out_hi):
+def _pad(value: float) -> float:
+    """How far a flat data range at `value` is widened: by 1, or by a
+    millionth of |value| where adding 1 would be lost to rounding."""
+    return max(1.0, 1e-6 * abs(value))
+
+
+def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
+    """The coordinate of one value, in plain float arithmetic."""
     if hi == lo:
-        hi = lo + 1.0
-    return out_lo + (np.asarray(values, dtype=float) - lo) * (out_hi - out_lo) / (hi - lo)
+        hi = lo + _pad(lo)
+    return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    return np.linspace(lo, hi, count)
+def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label) -> list[str]:
@@ -35,7 +42,7 @@ def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label) -> list[str]:
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black"/>',
     ]
     for tx in _ticks(x_lo, x_hi):
-        px = float(_scale([tx], x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)[0])
+        px = _scale(tx, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
         parts.append(
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_B}" x2="{px:.2f}" '
             f'y2="{HEIGHT - MARGIN_B + 5}" stroke="black"/>'
@@ -45,7 +52,7 @@ def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label) -> list[str]:
             f'text-anchor="middle">{tx:.3g}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
-        py = float(_scale([ty], y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)[0])
+        py = _scale(ty, y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>'
         )
@@ -109,7 +116,8 @@ def _plot_lines(table, y_column: str, out_path: Path) -> Path:
     x_lo, x_hi = float(np.min(x_all)), float(np.max(x_all))
     y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))
     if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        pad = _pad(y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
     parts = _axes(x_lo, x_hi, y_lo, y_hi, x_column, y_column)
     legend = []
     for gi, g in enumerate(groups):
@@ -123,10 +131,12 @@ def _plot_lines(table, y_column: str, out_path: Path) -> Path:
         xs, ys = x_all[mask], y_all[mask]
         # median over trials at each x
         ux = np.unique(xs)
-        med = np.array([np.median(ys[xs == v]) for v in ux])
-        px = _scale(ux, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
-        py = _scale(med, y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        med = [float(np.median(ys[xs == v])) for v in ux]
+        points = " ".join(
+            f"{_scale(a, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R):.2f},"
+            f"{_scale(b, y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T):.2f}"
+            for a, b in zip(ux.tolist(), med)
+        )
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
         legend.append((label, color))
     parts.extend(_legend(legend))
@@ -150,19 +160,21 @@ def _plot_histogram_overlay(table, out_path: Path) -> Path:
     parts = _axes(x_lo, x_hi, 0.0, y_hi, "eigenvalue", "density")
     width = (ex[1] - ex[0]) if len(ex) > 1 else (x_hi - x_lo)
     half = 0.5 * width
-    for cx, cy in zip(ex, ey):
-        x0 = float(_scale([cx - half], x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)[0])
-        x1 = float(_scale([cx + half], x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)[0])
-        y0 = float(_scale([cy], 0.0, y_hi, HEIGHT - MARGIN_B, MARGIN_T)[0])
+    for cx, cy in zip(ex.tolist(), ey.tolist()):
+        x0 = _scale(cx - half, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
+        x1 = _scale(cx + half, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
+        y0 = _scale(cy, 0.0, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
         h = HEIGHT - MARGIN_B - y0
         parts.append(
             f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{h:.2f}" '
             f'fill="#a6c9e6" stroke="#5c88ad" stroke-width="0.5"/>'
         )
     if len(qx):
-        px = _scale(qx, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
-        py = _scale(qy, 0.0, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        points = " ".join(
+            f"{_scale(a, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R):.2f},"
+            f"{_scale(b, 0.0, y_hi, HEIGHT - MARGIN_B, MARGIN_T):.2f}"
+            for a, b in zip(qx.tolist(), qy.tolist())
+        )
         parts.append(f'<polyline points="{points}" fill="none" stroke="#d95f02" stroke-width="2"/>')
     parts.extend(_legend([("empirical", "#a6c9e6"), ("limit density", "#d95f02")]))
     return _finish(parts, out_path)

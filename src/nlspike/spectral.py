@@ -19,9 +19,11 @@ The extremal eigenpairs come from one Lanczos solver once n >=
 _LANCZOS_MIN_N: Lanczos without restarts, from a fixed start vector, so
 results are deterministic. It keeps its whole basis, but projects a new
 vector out of it only where Simon's estimate of the lost orthogonality
-calls for it (partial reorthogonalization: 4-20 projections in a solve
-of 24-176 steps at n 500-2000). It stops at the gate's tolerance (a Ritz
-pair's residual estimate <= RESIDUAL_RTOL times its |value|), and the
+calls for it (partial reorthogonalization: 4-24 projections in a solve
+of 20-176 steps on signed and remainder matrices at n 300-2000, about
+every other step on SBM images). It tests its Ritz pairs at the step it
+predicts the slowest to converge, and stops at the gate's tolerance (a
+Ritz pair's residual estimate <= RESIDUAL_RTOL times its |value|); the
 gate still checks every Lanczos pair: each must pass
 ||M v - value v|| <= RESIDUAL_RTOL * ||M||_F (the Frobenius norm bounds
 the spectral norm from above). When Lanczos breaks down or reaches its
@@ -69,18 +71,29 @@ SYMMETRY_RTOL = 1e-9
 # Lanczos pairs below 5e-12; a vector that is no eigenvector leaves about
 # ||M||_2 >= ||M||_F / sqrt(n).
 RESIDUAL_RTOL = 1e-10
-# Smallest n solved by Lanczos: below it dense LAPACK is as fast (measured
-# on signed, decompose-remainder and SBM matrices at BLAS 1 and 2, n 300-800).
-_LANCZOS_MIN_N = 500
+# Smallest n solved by Lanczos: from it on Lanczos beat dense LAPACK for
+# k = 1, 2 and 4 on signed, decompose-remainder and SBM matrices at BLAS 1
+# and 2 (n 200-500); at n = 250 dense was faster for k = 4.
+_LANCZOS_MIN_N = 300
 _LANCZOS_COLUMNS = 64  # basis columns per block; blocks are added as the solve needs them
-_LANCZOS_CHECK = 8  # steps between convergence tests
+_LANCZOS_CHECK = 8  # steps to the first convergence test, and between tests with no rate to go by
+_LANCZOS_JUMP = (2, 32)  # fewest and most steps between predicted convergence tests
+# Share of a long predicted jump between tests that is taken. The rate since
+# the last test mostly underestimates the next one, as convergence speeds up,
+# so a whole jump overshot convergence by up to 11 steps on trial matrices
+# (n 300-2000); at 0.6, with jumps of up to _LANCZOS_CHECK steps taken whole,
+# by 0-6, for 3-9 tests a solve (3-20 at one every 8 steps).
+_LANCZOS_LEAD = 0.6
 _LANCZOS_STEPS = 600  # step cap, twice the most measured at n = 8000 (288; 176-208 at n = 4000)
 _LANCZOS_SEED = 0x5EED  # seeds the start vector
 # Simon's estimate of a basis vector's largest inner product with the earlier
 # ones that triggers a projection. At sqrt(eps), semi-orthogonality, the Ritz
 # vectors of signed n = 1000-2000 matrices lost up to 3e-12 of orthogonality;
-# at 1e-10 they kept it to 1e-13, for 4-16 projections a solve.
-_LANCZOS_ORTHO = 1e-10
+# at 1e-10 they kept it to 1e-13, but a far end that converged early could
+# leak back into a wanted Ritz vector at 5e-10, whose residual then missed
+# the gate. At 1e-11: 4-24 projections a solve on signed and remainder
+# matrices at n 500-2000, 0-6 more.
+_LANCZOS_ORTHO = 1e-11
 _EPS = np.finfo(float).eps
 _EPS23 = _EPS ** (2.0 / 3.0)  # ARPACK's floor on |theta| in its convergence test
 _SQRT_EPS = _EPS**0.5
@@ -187,16 +200,33 @@ def _lanczos(M: np.ndarray, k: int, which: str, bound: float):
     step cap, or if any pair's residual exceeds the gate's bound.
 
     Lanczos without restarts (Paige 1971; Parlett, The Symmetric Eigenvalue
-    Problem): the whole basis is kept, so every _LANCZOS_CHECK steps the
-    wanted Ritz pairs of the tridiagonal are tested, and the solve stops
-    once each meets ARPACK's convergence test
+    Problem): the whole basis is kept, so the wanted Ritz pairs of the
+    tridiagonal can be tested at any step, and the solve stops once each
+    meets ARPACK's convergence test
     |beta_m s_mi| <= RESIDUAL_RTOL max(eps^(2/3), |theta_i|).
+    A test (LAPACK's dstebz and dstein on the tridiagonal) costs as much
+    as about 13 matvecs at n = 400, so they are spaced by prediction: the
+    first at step _LANCZOS_CHECK (past k), each next one where the
+    slowest pair's ratio of estimate to tolerance, falling at the rate it
+    fell since the last test, reaches 1 (`_steps_to_pass`). Trial matrices
+    at n 300-2000 took 3-9 tests a solve, against 3-20 at one every
+    _LANCZOS_CHECK steps, and stopped 0-6 steps past convergence.
 
     Partial reorthogonalization (Simon 1984): Simon's recurrence estimates
     the inner products of each new basis vector with the earlier ones, and
     the vector is projected out of the whole basis only at the step the
     largest estimate passes _LANCZOS_ORTHO and at the step after, where
     full reorthogonalization projects at every step.
+
+    The Ritz test reads the tridiagonal alone, so it cannot see what the
+    basis lost: a Ritz vector that took up a component along an eigenvector
+    far from its value passes it with a residual of about that component
+    times the gap. Such a leak comes from an end that converged early and
+    re-entered where the basis lost orthogonality (at _LANCZOS_ORTHO =
+    1e-10, a far negative outlier's 5e-10 in a top pair missed the gate by
+    9 %), or from a fault in the basis arithmetic. The gate measures each
+    pair's true residual, so it catches any such leak that exceeds its
+    bound, and the caller then solves densely.
     """
     n = M.shape[0]
     steps = min(_LANCZOS_STEPS, n)
@@ -208,6 +238,8 @@ def _lanczos(M: np.ndarray, k: int, which: str, bound: float):
     omega[0] = 1.0
     rounding = _EPS * np.sqrt(n)  # a vector's loss of orthogonality from one step's rounding
     project_next = False
+    test_at = _LANCZOS_CHECK * (k // _LANCZOS_CHECK + 1)  # the first Ritz test, past step k
+    last_ratio, last_test = None, 0
     q = generator(_LANCZOS_SEED).standard_normal(n)
     q /= dnrm2(q)
     for j in range(steps):
@@ -245,9 +277,11 @@ def _lanczos(M: np.ndarray, k: int, which: str, bound: float):
             # repeated eigenvalue shows in it once)
             return None
         m = j + 1
-        if m > k and (m % _LANCZOS_CHECK == 0 or m == steps):
+        if m == test_at or m == steps:
             theta, S = _ritz(alpha[:m], beta[: m - 1], k, which)
-            if np.all(beta[j] * np.abs(S[-1]) <= RESIDUAL_RTOL * np.maximum(_EPS23, np.abs(theta))):
+            estimate = beta[j] * np.abs(S[-1])
+            tolerance = RESIDUAL_RTOL * np.maximum(_EPS23, np.abs(theta))
+            if np.all(estimate <= tolerance):
                 v = np.zeros((n, len(theta)), order="F")
                 for B, rows in zip(basis, np.split(S, range(_LANCZOS_COLUMNS, m, _LANCZOS_COLUMNS))):
                     v = dgemm(1.0, B, rows, beta=1.0, c=v, overwrite_c=1)
@@ -255,8 +289,31 @@ def _lanczos(M: np.ndarray, k: int, which: str, bound: float):
                 if not np.all(residuals <= bound):
                     return None
                 return theta, v, residuals
+            ratio = estimate / tolerance
+            test_at = m + _steps_to_pass(ratio, last_ratio, m - last_test)
+            last_ratio, last_test = ratio, m
         q_before, q = q, w / beta[j]
     return None
+
+
+def _steps_to_pass(ratio: np.ndarray, last_ratio, span: int) -> int:
+    """Steps from a failed Ritz test to the next one, from each wanted
+    pair's ratio of residual estimate to tolerance now (`ratio`) and at
+    the last test, `span` steps ago. If every pair yet to pass keeps
+    falling at the geometric rate it fell since then, the slowest passes
+    in `steps`; the jump is that, shortened to _LANCZOS_LEAD of it when
+    longer than _LANCZOS_CHECK, but not below _LANCZOS_CHECK, and clamped
+    to _LANCZOS_JUMP. _LANCZOS_CHECK after the first test, or when a
+    pair yet to pass did not fall."""
+    if last_ratio is None:
+        return _LANCZOS_CHECK
+    pending = ratio >= 1.0  # a pair that failed has a ratio of at least 1.0, rounded
+    fall = last_ratio[pending] / ratio[pending]
+    if not np.all(fall > 1.0):
+        return _LANCZOS_CHECK
+    steps = span * float(np.max(np.log(ratio[pending]) / np.log(fall)))
+    jump = max(math.ceil(_LANCZOS_LEAD * steps), min(math.ceil(steps), _LANCZOS_CHECK))
+    return min(max(jump, _LANCZOS_JUMP[0]), _LANCZOS_JUMP[1])
 
 
 def _next_omega(band: np.ndarray, j: int, omega: np.ndarray, previous: np.ndarray, rounding: float) -> float:

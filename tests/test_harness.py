@@ -439,7 +439,8 @@ TRIAL_KERNELS = {
     "decompose-check": (decomposition, "operator_norm", sweeps._decompose_trial, {"experiment": "decompose-check"}),
     "sbm-sweep": (sbm, "sym_eig_top", sweeps._sbm_trial, SBM_RAW),
 }
-TRIAL_SIZES = [130, spectral._LANCZOS_MIN_N + 100]  # the dense path, then the Lanczos path
+TRIAL_SIZES = [130, 600]  # the dense path, then the Lanczos path
+assert TRIAL_SIZES[0] < spectral._LANCZOS_MIN_N <= TRIAL_SIZES[1]
 
 
 def _run_kernel(kernel, n, c=2.6, seed=123):
@@ -538,6 +539,22 @@ def test_emit_plot_errors(tmp_path):
         emit_plot(path, "lines", y_column="gamma9")
     out = emit_plot(path, "lines", y_column="gamma1")
     assert out.read_text().startswith("<svg")
+
+
+def test_cli_plots_a_flat_range_near_1e200(tmp_path):
+    # f = 1e200 x^2 at one c and one trial: each plotted column is one
+    # value, and the eigenvalues' flat ranges near 1e200 cannot widen by 1.0
+    raw = signed_cfg(
+        n_list=[40], c_grid=[1.0], trials_per_point=1, f={"kind": "polynomial", "coeffs": [0.0, 0.0, 1e200]}
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["signed-sweep", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 0
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) == 4
+    for svg in svgs:
+        assert "nan" not in svg.read_text()
 
 
 # ---------------------------------------------------------------------------

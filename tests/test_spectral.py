@@ -9,24 +9,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from nlspike import decomposition
 from nlspike import spectral as sp
-from nlspike.distributions import Gaussian
+from nlspike.distributions import Gaussian, Uniform, shifted
 from nlspike.errors import ContractError, ConvergenceError, ParameterError
 from nlspike.matrixgen import (
+    SbmSpec,
     SpikeParams,
     UpperTriangle,
     assemble_observation,
     mirror_upper,
     rademacher_signal,
+    sample_sbm_adjacency,
     sample_wigner,
 )
-from nlspike.nonlinearity import hermite_fn
+from nlspike.nonlinearity import Named, hermite_fn
 from nlspike.rng import derive_seed
+from nlspike.sbm import transform_and_embed
 from nlspike.theory import semicircle_density
 
 
@@ -279,6 +282,12 @@ def _assert_matches_dense(values, vectors, residuals, M, w_ref, v_ref):
     st.floats(2.0, 6.0),
 )
 @settings(max_examples=12, deadline=None)
+# the far negative outlier converges early; at a projection threshold of
+# 1e-10 it leaked back into the top Ritz vectors, whose residuals then missed
+# the gate though their Ritz test passed
+@example(658, "negative-outlier", 16439473, 1, 3.3515625)
+@example(658, "negative-outlier", 16439473, 2, 3.3515625)
+@example(658, "negative-outlier", 16439473, 4, 3.3515625)
 def test_lanczos_top_k_matches_dense(n, kind, seed, k, shift):
     M = _matrix(kind, n, seed, shift)
     found = _lanczos(M, k, "LA")
@@ -298,6 +307,7 @@ def test_lanczos_top_k_matches_dense(n, kind, seed, k, shift):
     st.floats(2.0, 6.0),
 )
 @settings(max_examples=12, deadline=None)
+@example(658, "negative-outlier", 16439473, 3.3515625)  # the same leak, at the top end
 def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
     M = _matrix(kind, n, seed, shift)
     found = _lanczos(M, 2, "BE")
@@ -311,6 +321,8 @@ def test_lanczos_operator_norm_matches_dense(n, kind, seed, shift):
 
 
 TRIAL_N = 600  # above the crossover, so the trials' matrices take the Lanczos path
+DENSE_N = sp._LANCZOS_MIN_N - 50  # below it: dense eigh
+assert 40 < sp._LANCZOS_MIN_N <= 520  # the sizes below that take the dense path, then the Lanczos path
 
 
 def _signed_trial_matrix(n, c, seed):
@@ -392,6 +404,45 @@ def test_partial_reorthogonalization_keeps_full_accuracy(monkeypatch, case):
             assert abs(v[:, k - 1 - j] @ v_ref[:, j]) >= 1.0 - 1e-12
 
 
+def _sbm_trial_matrix(n, seed):
+    """The SBM sweep's tanh image over Uniform(-1, 1) block laws pulled
+    apart at c = 2, alpha = 1/3, built as its trials build it and mirrored."""
+    delta = 2.0 * 2.0 * n ** (1.0 / 3.0 - 0.5)
+    law = Uniform(-1.0, 1.0)
+    spec = SbmSpec(n, 0.5, shifted(law, 0.5 * delta), shifted(law, -0.5 * delta))
+    return mirror_upper(transform_and_embed(sample_sbm_adjacency(spec, seed), Named("tanh", 0)).matrix)
+
+
+@pytest.mark.parametrize(
+    "case, k, every_check",
+    [("sbm-400", 4, (13, 108)), ("signed-1000-c0.8", 2, (13, 106))],
+    ids=["sbm-400", "signed-1000-c0.8"],
+)
+def test_ritz_tests_come_when_predicted(monkeypatch, case, k, every_check):
+    # every_check: the Ritz tests and matvecs of the same solve with a test
+    # every _LANCZOS_CHECK steps and projections at 1e-10; the predicted
+    # schedule halves the tests and overshoots convergence by a few steps
+    M = _sbm_trial_matrix(400, 1) if case == "sbm-400" else _signed_trial_matrix(1000, 0.8, 1008)
+    calls = {"ritz": 0, "matvecs": 0}
+    ritz, matvec = sp._ritz, sp._matvec
+
+    def counting_ritz(*args):
+        calls["ritz"] += 1
+        return ritz(*args)
+
+    def counting_matvec(A, u):
+        calls["matvecs"] += 1
+        return matvec(A, u)
+
+    monkeypatch.setattr(sp, "_ritz", counting_ritz)
+    monkeypatch.setattr(sp, "_matvec", counting_matvec)
+    w, _, _ = _lanczos(M, k, "LA")
+    assert calls["ritz"] <= every_check[0] / 2
+    assert calls["matvecs"] <= every_check[1] + 8
+    w_ref = eigvalsh(M)[-k:]
+    assert np.all(np.abs(w - w_ref) <= 1e-12 * np.abs(w_ref))
+
+
 def test_operator_norm_finds_the_clustered_end():
     # an isolated top at 1 and a cluster at the bottom whose end is
     # -1.001: one "largest magnitude" pair settles on the wrong end here
@@ -438,7 +489,7 @@ def test_gate_takes_no_matrix_sized_numpy_norm(monkeypatch):
     # OpenBLAS pool, whose workers then spin beside scipy's dsymv workers;
     # the gate's norms must run in scipy's BLAS, the matvec's
     Y = _signed_trial_matrix(TRIAL_N, 2.6, 26)
-    Y_dense = _signed_trial_matrix(300, 2.6, 26)  # below the crossover: dense eigh
+    Y_dense = _signed_trial_matrix(DENSE_N, 2.6, 26)
     numpy_norm = np.linalg.norm
     sizes = []
 
@@ -452,7 +503,7 @@ def test_gate_takes_no_matrix_sized_numpy_norm(monkeypatch):
         too_big = [s for s in sizes if s[0] > TRIAL_N]
         sizes.clear()
         sp.sym_eig_top(Y_dense, 2)
-        too_big += [s for s in sizes if s[0] > 300]
+        too_big += [s for s in sizes if s[0] > DENSE_N]
         sizes.clear()
         remainder, _ = _decomposition_remainder(m, TRIAL_N, 7)  # the decomposition's own norms too
         sp.operator_norm(remainder)
@@ -480,7 +531,7 @@ def test_gate_holds_on_entries_whose_squares_overflow():
     assert np.all(np.isfinite(big_pairs.residuals))
 
 
-@pytest.mark.parametrize("n", [40, sp._LANCZOS_MIN_N + 20])
+@pytest.mark.parametrize("n", [40, 520])  # the dense path, then the Lanczos path
 def test_core_rejects_non_finite_upper_entries(n):
     # a trial's matrix is not scanned: the core's norm pass is its
     # finiteness check, on the dense and the Lanczos path and in the
@@ -546,7 +597,7 @@ def test_fallback_returns_the_dense_answer(monkeypatch, fake):
     assert sp.operator_norm(M) == dense_norm
 
 
-@pytest.mark.parametrize("n", [40, sp._LANCZOS_MIN_N + 20])
+@pytest.mark.parametrize("n", [40, 520])  # the dense path, then the Lanczos path
 def test_dense_residual_failure_raises_convergence_error(monkeypatch, n):
     M = _matrix("wigner", n, 4, 0.0)
     _no_convergence(monkeypatch)
@@ -561,7 +612,7 @@ def test_breakdown_falls_back_to_dense():
     # Lanczos breaks down after 3 steps having seen the repeated top once
     n = sp._LANCZOS_MIN_N
     diagonal = np.full(n, 1.0)
-    diagonal[[7, 300]] = 3.0
+    diagonal[[7, n // 2]] = 3.0
     diagonal[-1] = -0.5
     M = np.diag(diagonal)
     assert _lanczos(M, 2, "LA") is None
