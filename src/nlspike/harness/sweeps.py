@@ -17,9 +17,10 @@ interpreter exit.
 Every thread that runs trials, each worker's included, draws them into
 one float64 buffer of its own, made at its first trial for the largest
 n of the sweep and replaced only by a sweep that needs more; it lives as
-long as its thread. With a fresh buffer per trial, glibc would keep a
-freed buffer of at most 32 MiB (n below about 2048) resident in its
-heap, where the next, larger trial's buffer cannot reuse it.
+long as its thread. The buffer is an anonymous mapping on 4 KB pages
+(matrixgen._matrix_pages), so only the pages of the upper triangle the
+trials write become resident, and a replaced buffer is unmapped, not kept
+in glibc's heap.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from ..errors import ConfigError, NlspikeError
 from ..matrixgen import (
     SbmSpec,
     SpikeParams,
+    _matrix_pages,
     assemble_observation,
     rademacher_signal,
     sample_sbm_adjacency,
@@ -97,28 +99,35 @@ def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
 # ---------------------------------------------------------------------------
 
 _BUFFER = threading.local()  # .array: this thread's flat trial buffer
+_PRIMED = 0  # entries of the largest unused buffer freed to prime glibc
 
 
 def _trial_buffer(cfg: ExperimentConfig, n: int) -> np.ndarray:
     """An n x n C-contiguous view of this thread's trial buffer, which is
-    made with max(cfg.n_list)^2 entries and replaced only when a sweep
-    needs more. The view's lower triangle holds what the last trial left;
-    nothing reads it."""
-    size = max(cfg.n_list) ** 2
+    made by matrixgen._matrix_pages for max(cfg.n_list) and replaced only
+    when a sweep needs more. The view's lower triangle holds what the last
+    trial left; nothing reads it."""
+    global _PRIMED
+    largest = max(cfg.n_list)
+    size = largest**2
     buf = getattr(_BUFFER, "array", None)
     if buf is None or buf.size < size:
-        # free the smaller buffer before making the larger; a failed
+        # drop the smaller buffer before making the larger; a failed
         # allocation then leaves this thread with none, not a stale one
         del buf
         vars(_BUFFER).pop("array", None)
-        # glibc mmaps a request above its mmap threshold, and freeing such
-        # a chunk of at most 32 MiB raises the threshold to its size and the
-        # heap's trim threshold to twice that. One unused buffer freed here
-        # does what the fresh buffer of every trial did: the trial's
-        # temporaries then stay in an untrimmed heap, where without it an
-        # n = 2000 trial page-faulted 6,900 times (15 ms).
-        np.empty(size)
-        _BUFFER.array = np.empty(size)
+        _BUFFER.array = _matrix_pages(largest)
+        if size > _PRIMED:
+            # glibc mmaps a request above its mmap threshold, and freeing
+            # such a chunk of at most 32 MiB raises the threshold, which is
+            # process-wide and never falls, to its size and the heap's trim
+            # threshold to twice that. The trial buffer is a mapping of its
+            # own that glibc never sees, so one unused buffer freed here is
+            # what raises them: the trial's temporaries then stay in an
+            # untrimmed heap, where without it every other n = 2000 trial
+            # page-faulted 1,357 times and with it none did.
+            np.empty(size)
+            _PRIMED = size
     return _BUFFER.array[: n * n].reshape(n, n)
 
 

@@ -9,19 +9,24 @@ wanted.
 
 `sample_wigner` and `sample_sbm_adjacency` draw the noise row by row into
 the upper triangle of a fresh n x n buffer, or of the caller's `out` (the
-sweeps pass each trial a view of one reused buffer). The builders
+sweeps pass each trial a view of one reused buffer). Both buffers come
+from `_matrix_pages`, a mapping on 4 KB pages, so the lower triangle that
+nothing writes stays out of memory. The builders
 (`assemble_observation`, `sbm.transform_and_embed`,
 `decomposition.signal_plus_noise`) form their matrix there in place with
 `form_upper`, in row blocks of BLOCK_ROWS rows, each from its diagonal on.
 No index array, value vector or other n^2-sized temporary is made, f runs
 on about half the entries, and every element keeps its IEEE operation, so
 the bits equal those of the whole-matrix form. A trial holds that one
-buffer and peaks at about 1.2 of them by tracemalloc (n = 1024); at
-n = 8000 one buffer is 512 MB.
+buffer and peaks at about 1.2 of them, its temporaries counted by
+tracemalloc (n = 1024); at n = 8000 one buffer is 512 MB, of which a
+trial makes 286 MB resident.
 """
 
 from __future__ import annotations
 
+import errno
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,18 +169,41 @@ def mirror_upper(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _matrix_pages(n: int) -> np.ndarray:
+    """A flat float64 array of n * n zeros for one n x n matrix, in an
+    anonymous mapping of its own on 4 KB pages (MADV_NOHUGEPAGE where the
+    platform has it). Only the pages a trial writes become resident: row i
+    of a matrix built from its diagonal leaves about its first 8i // 4096
+    pages untouched, where numpy's transparent huge pages of 2 MB each
+    would take the lower triangle in with the upper. The array keeps the
+    mapping alive and its last view unmaps it. A size this machine cannot
+    map raises ParameterError, naming n and the GiB."""
+    size = 8 * n * n
+    try:
+        pages = mmap.mmap(-1, size)
+    except (MemoryError, OverflowError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise ParameterError(
+            f"n = {n} needs {size / 2**30:.1f} GiB for one n x n float64 matrix, more than can be allocated"
+        ) from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64)
+
+
 def _draw_upper(n: int, n_plus: int, laws, gens, out: np.ndarray | None) -> UpperTriangle:
-    """out (a fresh buffer if None), an n x n float64 C-contiguous writeable
-    array, whose upper triangle holds draws of laws[0] within the blocks
-    split at n_plus and of laws[1] across; each law's stream fills its
-    entries in row-major order. Row i's upper part is one run within,
-    [i, n_plus) or [i, n), and above the split one run across, [n_plus, n);
-    each block of rows draws each law's runs in one fill. Nothing below
-    the diagonal is written."""
+    """out (fresh pages from _matrix_pages if None), an n x n float64
+    C-contiguous writeable array, whose upper triangle holds draws of
+    laws[0] within the blocks split at n_plus and of laws[1] across; each
+    law's stream fills its entries in row-major order. Row i's upper part
+    is one run within, [i, n_plus) or [i, n), and above the split one run
+    across, [n_plus, n); each block of rows draws each law's runs in one
+    fill. Nothing below the diagonal is written."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if out is None:
-        out = np.empty((n, n))
+        out = _matrix_pages(n).reshape(n, n)
     elif not (isinstance(out, np.ndarray) and out.shape == (n, n) and out.dtype == np.float64
               and out.flags.c_contiguous and out.flags.writeable):
         got = f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from nlspike import decomposition, matrixgen, sbm, spectral, theory
-from nlspike.errors import ConfigError, FormatError
+from nlspike.errors import ConfigError, FormatError, ParameterError
 from nlspike.harness import (
     emit_plot,
     fit_transition_midpoint,
@@ -297,30 +298,76 @@ def test_predict_artifact(tmp_path):
     ],
     ids=["signed-sweep", "decompose-check", "sbm-sweep", "esd"],
 )
-def test_trial_memory_budget(raw, trial, tmp_path):
+def test_trial_memory_budget(raw, trial, tmp_path, monkeypatch):
     """Peak traced allocation of one n = 1024 trial, in n x n float64
-    buffers (numpy reports its allocations to tracemalloc). The whole-matrix
-    builders read 4.0 (signed) and 6.0 (decompose); building the remainder
-    in one buffer with a copy-free Lanczos norm took decompose to 2.25, and
-    drawing the noise into the buffer the trial transforms in place took
-    every trial to about 1.2 (sbm-sweep and esd read 3.0 and 2.06 before).
-    The warm-up's trial buffer is dropped, so the traced run makes its own
-    and counts it."""
+    buffers (numpy reports its allocations to tracemalloc; the trial
+    matrix's pages come from mmap, which it does not see, so the bytes
+    matrixgen._matrix_pages maps during the run are added). The
+    whole-matrix builders read 4.0 (signed) and 6.0 (decompose); building
+    the remainder in one buffer with a copy-free Lanczos norm took
+    decompose to 2.25, and drawing the noise into the buffer the trial
+    transforms in place took every trial to about 1.2 (sbm-sweep and esd
+    read 3.0 and 2.06 before). The warm-up's trial buffer is dropped, so
+    the traced run maps its own and counts it."""
     n = 1024
     cfg = parse_config(sweep_cfg(n_list=[n], c_grid=[2.6], **raw))
+    mapped = []
+
+    def counted(m):
+        mapped.append(8 * m * m)
+        return allocate(m)
+
+    allocate = matrixgen._matrix_pages
+    monkeypatch.setattr(matrixgen, "_matrix_pages", counted)
+    monkeypatch.setattr(sweeps, "_matrix_pages", counted)
 
     def run():
         return sweeps.run_esd(cfg, tmp_path) if trial is None else trial(cfg, n, 2.6, 0, 123)
 
     run()  # warm-up: caches and lazy imports
     vars(sweeps._BUFFER).clear()
+    mapped.clear()
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= 1.5
+    assert mapped == [8 * n * n]
+    assert (peak + sum(mapped)) / (8 * n * n) <= 1.5
+
+
+def _smaps_rss(lo: int, hi: int) -> tuple[int, int]:
+    """Rss and size, in bytes, summed over every /proc/self/smaps mapping
+    that overlaps the addresses [lo, hi)."""
+    rss = size = 0
+    overlaps = False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        key, *fields = line.split()
+        if not key.endswith(":"):  # a mapping's header: start-end perms ...
+            start, end = (int(a, 16) for a in key.split("-"))
+            overlaps = start < hi and end > lo
+            size += (end - start) * overlaps
+        elif key == "Rss:" and overlaps:
+            rss += int(fields[0]) * 1024
+    return rss, size
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="needs /proc/self/smaps")
+def test_trial_buffer_leaves_the_lower_triangle_out_of_memory():
+    """After one n = 2048 signed trial, the resident share of its buffer:
+    on 4 KB pages row i leaves its first 8i // 4096 pages untouched, 0.625
+    of the buffer resident, where 2 MB transparent huge pages took in
+    0.97-0.99."""
+    n = 2048
+    cfg = parse_config(sweep_cfg(n_list=[n], c_grid=[2.6]))
+    vars(sweeps._BUFFER).clear()
+    sweeps._signed_trial(cfg, n, 2.6, 0, 123)
+    buf = sweeps._BUFFER.array
+    lo = buf.__array_interface__["data"][0]
+    rss, size = _smaps_rss(lo, lo + buf.nbytes)
+    assert size <= buf.nbytes + 4096, "the buffer shares its mapping with other memory"
+    assert rss / buf.nbytes <= 0.70
 
 
 def _record_trial_addresses(monkeypatch, addresses, barrier=None):
@@ -362,27 +409,29 @@ def test_consecutive_trials_draw_into_one_buffer(monkeypatch, tmp_path):
 
 
 def test_failed_buffer_allocation_leaves_the_thread_able_to_sweep(monkeypatch, tmp_path):
-    """A MemoryError while the buffer is made (n_list has no upper bound)
-    leaves the thread with no buffer, so its next sweep makes one."""
+    """A buffer that cannot be mapped (n_list has no upper bound) is a
+    ParameterError naming n, and leaves the thread with no buffer, so its
+    next sweep maps one."""
     cfg = parse_config(signed_cfg())
-    size = max(cfg.n_list) ** 2
-    empty = np.empty
+    nbytes = 8 * max(cfg.n_list) ** 2
+    real = matrixgen.mmap.mmap
     failures = []
 
-    def failing_once(shape, *args, **kwargs):
-        if shape == size and not failures:
-            failures.append(shape)
-            raise MemoryError
-        return empty(shape, *args, **kwargs)
+    def failing_once(fileno, length):
+        if length == nbytes and not failures:
+            failures.append(length)
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return real(fileno, length)
 
     vars(sweeps._BUFFER).clear()
     with monkeypatch.context() as m:
-        m.setattr(sweeps.np, "empty", failing_once)
-        with pytest.raises(MemoryError):
+        m.setattr(matrixgen.mmap, "mmap", failing_once)
+        with pytest.raises(ParameterError, match=r"^n = 100 needs 0\.0 GiB"):
             run_experiment(cfg, tmp_path / "failed")
-    assert failures == [size]
+    assert failures == [nbytes]
+    assert not hasattr(sweeps._BUFFER, "array")
     run_experiment(cfg, tmp_path / "next")
-    assert sweeps._BUFFER.array.size == size
+    assert sweeps._BUFFER.array.size == max(cfg.n_list) ** 2
 
 
 def test_sweeps_on_concurrent_threads_never_share_a_buffer(monkeypatch, tmp_path):
@@ -720,6 +769,22 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, raw):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [signed_cfg(), ESD_CFG], ids=["signed-sweep", "esd"])
+def test_cli_matrix_too_large_to_map_exits_2(tmp_path, capsys, monkeypatch, raw):
+    """An n whose trial matrix cannot be mapped ends in one line; mmap is
+    refused here, so no such matrix is really asked for."""
+    def refuse(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(matrixgen.mmap, "mmap", refuse)
+    cfg_path = write_cfg(tmp_path, raw | {"n_list": [200_000], "c_grid": [1.0]})
+    capsys.readouterr()
+    assert cli_main([raw["experiment"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: n = 200000 needs 298.0 GiB for one n x n float64 matrix, more than can be allocated\n"
+    )
 
 
 def test_cli_esd_non_finite_range_exits_2(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +128,39 @@ def test_draws_reject_an_unfit_out(out):
         mg.sample_wigner(6, Gaussian(0, 1), 1, out=out)
     with pytest.raises(ParameterError, match="out must be"):
         mg.sample_sbm_adjacency(spec, 1, out=out)
+
+
+def test_matrix_pages_are_zeros_on_a_mapping_of_their_own():
+    a = mg._matrix_pages(5)
+    assert a.shape == (25,) and a.dtype == np.float64 and a.flags.writeable and not a.any()
+    assert isinstance(a.base.obj, mmap.mmap)
+
+
+@pytest.mark.parametrize(
+    "exc,expected",
+    [
+        (MemoryError(), ParameterError),
+        (OverflowError("Python int too large to convert to C ssize_t"), ParameterError),
+        (OSError(errno.ENOMEM, "Cannot allocate memory"), ParameterError),
+        (OSError(errno.EACCES, "Permission denied"), OSError),
+    ],
+    ids=["memory", "overflow", "enomem", "other-os-error"],
+)
+def test_matrix_pages_that_cannot_be_mapped(monkeypatch, exc, expected):
+    """Running out of memory or address space is one ParameterError naming
+    n and the GiB; no pages are really asked for. Other OS errors pass."""
+    def refuse(fileno, length):
+        raise exc
+
+    monkeypatch.setattr(mg.mmap, "mmap", refuse)
+    with pytest.raises(expected) as info:
+        mg._matrix_pages(200_000)
+    if expected is ParameterError:
+        assert str(info.value) == (
+            "n = 200000 needs 298.0 GiB for one n x n float64 matrix, more than can be allocated"
+        )
+    else:
+        assert info.value is exc
 
 
 def test_rademacher_signal():
