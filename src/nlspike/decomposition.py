@@ -13,11 +13,10 @@ was drawn from: its entry law (i.i.d.), where E f^(k)(W) is constant, or
 its SbmSpec (the block model), where it has two blocks. Every H_k
 therefore splits into at most two rank-one terms on the unit directions
 1/sqrt(n) and x, and one table, spike_coefficients, gives their weights
-for k = 0..ell as SpikeRows. Both directions have entries +-1/sqrt(n), so
-a term is one value times a constant or a sign pattern: the remainder
-adds it to the noise image row run by row run, with the IEEE ops of the
-dense outer product but without forming one, and skips a weight of 0.0
-(the off-parity weight under i.i.d. noise; He_2 + He_3 has E f' = 0)."""
+for k = 0..ell as SpikeRows. The remainder adds a signal term with
+matrixgen.add_rank_one, as the observation adds its spike, and a constant
+term, whose every entry is one value, as a scalar; it skips a weight of
+0.0 (the off-parity weight under i.i.d. noise; He_2 + He_3 has E f' = 0)."""
 
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Distribution
 from .errors import ParameterError
-from .matrixgen import SbmSpec, SpikeParams, UpperTriangle, alpha_fraction, form_upper, image_step
+from .matrixgen import SbmSpec, SpikeParams, UpperTriangle, add_rank_one, alpha_fraction, form_upper, image_step
 from .nonlinearity import NonlinearFn, apply_elementwise, derivative_moment, gamma_moment
 from .spectral import operator_norm
 
@@ -99,38 +98,20 @@ class DecompositionReport:
 
 
 def _dense_sum(noise: np.ndarray, spikes: tuple[SpikeRow, ...], x: np.ndarray, lo: int = 0) -> np.ndarray:
-    """noise, which is rows lo: and columns lo: of the noise image, plus the
-    same part of the spike terms, added in place; returns noise. The terms
-    go in row order, each row's parity direction first.
-
-    Each term keeps the IEEE ops of noise += (d d^T) * w without forming
-    d d^T: both directions have entries +-s with s = 1/sqrt(n), so the term
-    is the one value fl(fl(s s) w) times the sign pattern sigma_i sigma_j.
-    The constant direction adds that value to every entry. The signal's row
-    sigma_j fl(fl(s s) w) is added to each run of rows with sigma_i = +1 and
-    subtracted from each run with sigma_i = -1 (x - y is x + (-y)); the runs
-    are found once. A weight of 0.0 only adds +-0.0 and is skipped."""
+    """noise, rows lo: and columns lo: of the noise image, plus the same
+    part of the spike terms, added in place in row order, each row's parity
+    direction first; returns noise. A signal term goes through add_rank_one;
+    a constant one, whose entries are all fl(fl(s s) w) with s = 1/sqrt(n),
+    is added as that scalar. A weight of 0.0, which adds only +-0.0, is
+    skipped."""
     s = 1.0 / np.sqrt(len(x))
-    unit = s * s
-    columns = x[lo:] > 0.0
-    positive = columns[: len(noise)]
-    edges = [0, *(np.flatnonzero(positive[1:] != positive[:-1]) + 1), len(noise)]
-    runs = [(a, b, positive[a]) for a, b in zip(edges[:-1], edges[1:])]
     for row in spikes:
         for kind in ("ones", "signal") if row.k % 2 == 0 else ("signal", "ones"):
             weight = getattr(row, kind)
-            if weight == 0.0:
-                continue
-            value = unit * weight
-            if kind == "ones":
-                noise += value
-                continue
-            pattern = np.where(columns, value, -value)
-            for a, b, up in runs:
-                if up:
-                    noise[a:b] += pattern
-                else:
-                    noise[a:b] -= pattern
+            if weight != 0.0 and kind == "ones":
+                noise += s * s * weight
+            elif weight != 0.0:
+                add_rank_one(noise, lo, x, weight)
     return noise
 
 

@@ -82,6 +82,16 @@ def _legend(entries) -> list[str]:
     return parts
 
 
+def _polyline(xs, ys, x_lo, x_hi, y_lo, y_hi, color: str) -> str:
+    """One 2-px polyline through the points (xs[i], ys[i]), in one pass."""
+    points = " ".join(
+        f"{_scale(a, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R):.2f},"
+        f"{_scale(b, y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T):.2f}"
+        for a, b in zip(xs, ys)
+    )
+    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+
+
 def _finish(parts: list[str], out_path: Path) -> Path:
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -132,12 +142,7 @@ def _plot_lines(table, y_column: str, out_path: Path) -> Path:
         # median over trials at each x
         ux = np.unique(xs)
         med = [float(np.median(ys[xs == v])) for v in ux]
-        points = " ".join(
-            f"{_scale(a, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R):.2f},"
-            f"{_scale(b, y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T):.2f}"
-            for a, b in zip(ux.tolist(), med)
-        )
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts.append(_polyline(ux.tolist(), med, x_lo, x_hi, y_lo, y_hi, color))
         legend.append((label, color))
     parts.extend(_legend(legend))
     return _finish(parts, out_path)
@@ -170,12 +175,7 @@ def _plot_histogram_overlay(table, out_path: Path) -> Path:
             f'fill="#a6c9e6" stroke="#5c88ad" stroke-width="0.5"/>'
         )
     if len(qx):
-        points = " ".join(
-            f"{_scale(a, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R):.2f},"
-            f"{_scale(b, 0.0, y_hi, HEIGHT - MARGIN_B, MARGIN_T):.2f}"
-            for a, b in zip(qx.tolist(), qy.tolist())
-        )
-        parts.append(f'<polyline points="{points}" fill="none" stroke="#d95f02" stroke-width="2"/>')
+        parts.append(_polyline(qx.tolist(), qy.tolist(), x_lo, x_hi, 0.0, y_hi, "#d95f02"))
     parts.extend(_legend([("empirical", "#a6c9e6"), ("limit density", "#d95f02")]))
     return _finish(parts, out_path)
 

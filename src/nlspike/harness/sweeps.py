@@ -19,8 +19,7 @@ one float64 buffer of its own, made at its first trial for the largest
 n of the sweep and replaced only by a sweep that needs more; it lives as
 long as its thread. The buffer is an anonymous mapping on 4 KB pages
 (matrixgen._matrix_pages), so only the pages of the upper triangle the
-trials write become resident, and a replaced buffer is unmapped, not kept
-in glibc's heap.
+trials write become resident, and a replaced buffer is unmapped.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ def _shifted_spec(cfg: ExperimentConfig, n: int, c: float) -> SbmSpec:
 # ---------------------------------------------------------------------------
 
 _BUFFER = threading.local()  # .array: this thread's flat trial buffer
-_PRIMED = 0  # entries of the largest unused buffer freed to prime glibc
 
 
 def _trial_buffer(cfg: ExperimentConfig, n: int) -> np.ndarray:
@@ -107,27 +105,14 @@ def _trial_buffer(cfg: ExperimentConfig, n: int) -> np.ndarray:
     made by matrixgen._matrix_pages for max(cfg.n_list) and replaced only
     when a sweep needs more. The view's lower triangle holds what the last
     trial left; nothing reads it."""
-    global _PRIMED
     largest = max(cfg.n_list)
-    size = largest**2
     buf = getattr(_BUFFER, "array", None)
-    if buf is None or buf.size < size:
+    if buf is None or buf.size < largest**2:
         # drop the smaller buffer before making the larger; a failed
         # allocation then leaves this thread with none, not a stale one
         del buf
         vars(_BUFFER).pop("array", None)
         _BUFFER.array = _matrix_pages(largest)
-        if size > _PRIMED:
-            # glibc mmaps a request above its mmap threshold, and freeing
-            # such a chunk of at most 32 MiB raises the threshold, which is
-            # process-wide and never falls, to its size and the heap's trim
-            # threshold to twice that. The trial buffer is a mapping of its
-            # own that glibc never sees, so one unused buffer freed here is
-            # what raises them: the trial's temporaries then stay in an
-            # untrimmed heap, where without it every other n = 2000 trial
-            # page-faulted 1,357 times and with it none did.
-            np.empty(size)
-            _PRIMED = size
     return _BUFFER.array[: n * n].reshape(n, n)
 
 

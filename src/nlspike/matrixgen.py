@@ -25,6 +25,7 @@ trial makes 286 MB resident.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import mmap
 from dataclasses import dataclass
@@ -169,6 +170,10 @@ def mirror_upper(M: np.ndarray) -> np.ndarray:
     return M
 
 
+_PRIME_BYTES = 31 << 20  # a freed chunk of this size, header and page rounding included, stays under 32 MiB
+_PRIMED = False
+
+
 def _matrix_pages(n: int) -> np.ndarray:
     """A flat float64 array of n * n zeros for one n x n matrix, in an
     anonymous mapping of its own on 4 KB pages (MADV_NOHUGEPAGE where the
@@ -177,7 +182,15 @@ def _matrix_pages(n: int) -> np.ndarray:
     pages untouched, where numpy's transparent huge pages of 2 MB each
     would take the lower triangle in with the upper. The array keeps the
     mapping alive and its last view unmaps it. A size this machine cannot
-    map raises ParameterError, naming n and the GiB."""
+    map raises ParameterError, naming n and the GiB.
+
+    The first mapping in a process primes glibc: a freed chunk of at most
+    32 MiB raises glibc's mmap threshold for good to its size (and the trim
+    threshold to twice that), so a trial's temporaries stay in the heap,
+    not mapped and faulted in afresh every trial. The matrix's own mapping
+    hides it from glibc, so a fixed chunk under the cap is freed instead,
+    which primes at every n; one the size of the matrix passed the cap."""
+    global _PRIMED
     size = 8 * n * n
     try:
         pages = mmap.mmap(-1, size)
@@ -189,6 +202,10 @@ def _matrix_pages(n: int) -> np.ndarray:
         ) from None
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)
+    if not _PRIMED:
+        _PRIMED = True
+        with contextlib.suppress(MemoryError):  # the prime only saves page faults
+            np.empty(_PRIME_BYTES // 8)
     return np.frombuffer(pages, dtype=np.float64)
 
 
@@ -237,6 +254,14 @@ def sample_sbm_adjacency(spec: SbmSpec, seed: int, out: np.ndarray | None = None
     return _draw_upper(spec.n, spec.n_plus, (spec.within, spec.across), gens, out)
 
 
+def add_rank_one(B: np.ndarray, lo: int, u: np.ndarray, weight: float) -> None:
+    """B += weight u u^T, B being rows lo:lo + len(B) and columns lo: of the
+    matrix: np.outer of u's two parts, scaled in place, so fl(fl(u_i u_j) weight)."""
+    term = np.outer(u[lo : lo + len(B)], u[lo:])
+    term *= weight
+    B += term
+
+
 def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: float = 0.0):
     """form_upper step turning W's block into that of f(W + strength
     sqrt(n) x x^T) / sqrt(n) (no spike without x), in whole-matrix IEEE ops."""
@@ -244,9 +269,7 @@ def image_step(f: NonlinearFn, n: int, xv: np.ndarray | None = None, strength: f
 
     def step(lo: int, hi: int, B: np.ndarray) -> None:
         if xv is not None:
-            outer = np.outer(xv[lo:hi], xv[lo:])
-            outer *= spike
-            B += outer
+            add_rank_one(B, lo, xv, spike)
         np.divide(apply_elementwise(f, B), root_n, out=B)
 
     return step

@@ -204,10 +204,11 @@ def test_spike_term_norm_equals_abs_coefficient():
 
 
 @pytest.mark.parametrize("coeffs", [[-1.0, -3.0, 1.0, 1.0], [0.0, 1.0, 0.5, 0.25]], ids=["He2+He3", "linear-cubic"])
-def test_spike_terms_form_no_outer_product(monkeypatch, coeffs):
-    # each spike term is a constant or a sign pattern, added without an
-    # outer product; only the observation's spike in image_step keeps one
-    # np.outer per row block
+def test_every_outer_product_comes_from_add_rank_one(monkeypatch, coeffs):
+    # one rank-one add: each row block's observation spike and each of its
+    # nonzero signal terms form their outer product in add_rank_one, and
+    # the constant direction's terms form none. Both f have a nonzero
+    # signal term at alpha = 1/3 (k = 3; linear-cubic's k = 1 as well)
     n = 300
     cfg = parse_config(
         {
@@ -232,7 +233,10 @@ def test_spike_terms_form_no_outer_product(monkeypatch, coeffs):
     monkeypatch.setattr(np, "outer", recording_outer)
     row = sweeps._decompose_trial(cfg, n, 1.0, 0, 6)
     assert math.isfinite(row[4]) and row[4] > 0.0
-    assert callers == [("matrixgen.py", "step")] * len(list(row_blocks(n)))  # image_step's step
+    spikes = dc.spike_coefficients(cfg.f, SpikeParams(1.0, cfg.alpha, n), cfg.noise)[1:]
+    signal_terms = sum(spike.signal != 0.0 for spike in spikes)
+    assert signal_terms >= 1
+    assert callers == [("matrixgen.py", "add_rank_one")] * (len(list(row_blocks(n))) * (1 + signal_terms))
 
 
 def test_signal_plus_noise_rejects_a_signal_off_plus_minus_one_over_root_n():

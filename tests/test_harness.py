@@ -1,6 +1,10 @@
 import errno
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -368,6 +372,53 @@ def test_trial_buffer_leaves_the_lower_triangle_out_of_memory():
     rss, size = _smaps_rss(lo, lo + buf.nbytes)
     assert size <= buf.nbytes + 4096, "the buffer shares its mapping with other memory"
     assert rss / buf.nbytes <= 0.70
+
+
+def test_a_new_trial_buffer_asks_numpy_for_no_matrix_sized_block(monkeypatch):
+    """Mapping a trial buffer makes no n x n numpy array beside it: the
+    first mapping in a process primes glibc by freeing one fixed chunk
+    under glibc's 32 MiB cap, and later mappings free none. A prime the
+    size of the buffer doubled the address space a sweep needs, so a limit
+    that fit one buffer of n = 3000 ended in numpy's MemoryError."""
+    n = 3000
+    configs = [parse_config(sweep_cfg(n_list=[m], c_grid=[2.6])) for m in (n, n + 1)]
+    requests = []
+    empty = np.empty
+
+    def recorded(shape, *args, **kwargs):
+        requests.append(math.prod(np.atleast_1d(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(matrixgen, "_PRIMED", False, raising=False)
+    monkeypatch.setattr(sweeps, "_BUFFER", threading.local())
+    monkeypatch.setattr(np, "empty", recorded)
+    for cfg, m in zip(configs, (n, n + 1)):
+        sweeps._trial_buffer(cfg, m)
+    assert all(r < n * n for r in requests)
+    assert requests == [matrixgen._PRIME_BYTES // 8]
+    assert matrixgen._PRIME_BYTES < 32 << 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="primes glibc's malloc")
+def test_primed_trials_stay_in_the_heap_past_glibcs_cap():
+    """Minor page faults of six warm n = 2048 signed trials, in a fresh
+    process. glibc raises its mmap threshold only for a freed chunk of at
+    most 32 MiB; a prime the size of the buffer (32 MiB at n = 2048) passed
+    that cap, and every other trial faulted 1,400-1,500 times as glibc
+    mapped its temporaries afresh (about 4,400 over the six)."""
+    code = (
+        "import json, resource\n"
+        "from nlspike.harness import parse_config, sweeps\n"
+        f"cfg = parse_config(json.loads({json.dumps(json.dumps(sweep_cfg(n_list=[2048], c_grid=[2.6])))}))\n"
+        "for trial in range(8):\n"
+        "    if trial == 2:\n"
+        "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    sweeps._signed_trial(cfg, 2048, 2.6, trial, 1000 + trial)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(matrixgen.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert int(out.stdout) < 500
 
 
 def _record_trial_addresses(monkeypatch, addresses, barrier=None):
