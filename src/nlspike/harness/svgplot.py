@@ -6,9 +6,9 @@ produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-
-import numpy as np
+from statistics import median  # the middle value, or (a + b) / 2 of the middle two
 
 from ..errors import FormatError, ParameterError
 from .analysis import load_table
@@ -16,6 +16,7 @@ from .analysis import load_table
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 20, 45
 PALETTE = ("#1f6fb4", "#d95f02", "#2a9d50", "#9467bd", "#c43d3d", "#6b6b6b")
+TICKS = 5  # per axis
 
 
 def _pad(value: float) -> float:
@@ -31,8 +32,12 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return np.linspace(lo, hi, count).tolist()
+def _ticks(lo: float, hi: float) -> list[float]:
+    """numpy.linspace(lo, hi, TICKS) written out: lo + i * step, then hi exactly;
+    a step that underflows to 0 becomes i / (TICKS - 1) of the span, as there."""
+    span, div = hi - lo, TICKS - 1
+    step = span / div
+    return [(i * step if step else i / div * span) + lo for i in range(div)] + [hi]
 
 
 def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label) -> list[str]:
@@ -82,14 +87,14 @@ def _legend(entries) -> list[str]:
     return parts
 
 
-def _polyline(xs, ys, x_lo, x_hi, y_lo, y_hi, color: str) -> str:
-    """One 2-px polyline through the points (xs[i], ys[i]), in one pass."""
-    points = " ".join(
+def _polyline(points, x_lo, x_hi, y_lo, y_hi, color: str) -> str:
+    """One 2-px polyline through the (x, y) points, in one pass."""
+    coords = " ".join(
         f"{_scale(a, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R):.2f},"
         f"{_scale(b, y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T):.2f}"
-        for a, b in zip(xs, ys)
+        for a, b in points
     )
-    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 
 def _finish(parts: list[str], out_path: Path) -> Path:
@@ -110,40 +115,27 @@ def _plot_lines(table, y_column: str, out_path: Path) -> Path:
     if x_column not in table:
         raise FormatError(f"no x column ('c' or 'n') in CSV (have {sorted(table)})")
     series_column = "n" if x_column == "c" and "n" in table else None
-    if "seed" in table:
-        keep = table["seed"] >= 0  # drop summary rows
-    else:
-        keep = np.ones(len(table[y_column]), dtype=bool)
-
-    x_all, y_all = table[x_column][keep], table[y_column][keep]
-    finite = np.isfinite(y_all)
-    x_all, y_all = x_all[finite], y_all[finite]
-    if len(x_all) == 0:
+    ys = table[y_column].tolist()
+    seeds = table["seed"].tolist() if "seed" in table else [0] * len(ys)
+    series = table[series_column].tolist() if series_column else [None] * len(ys)
+    groups: dict[tuple, list[float]] = {}  # (series, x) -> finite y of its trial rows
+    for g, x, y, seed in zip(series, table[x_column].tolist(), ys, seeds):
+        if seed >= 0 and math.isfinite(y):  # seed < 0 marks a summary row
+            groups.setdefault((g, x), []).append(y)
+    if not groups:
         raise FormatError(f"no finite data for column {y_column!r}")
-    groups = (
-        sorted(set(table[series_column][keep][finite])) if series_column else [None]
-    )
-    x_lo, x_hi = float(np.min(x_all)), float(np.max(x_all))
-    y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))
+    x_lo, x_hi = min(x for _, x in groups), max(x for _, x in groups)
+    y_lo, y_hi = min(map(min, groups.values())), max(map(max, groups.values()))
     if y_lo == y_hi:
         pad = _pad(y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     parts = _axes(x_lo, x_hi, y_lo, y_hi, x_column, y_column)
     legend = []
-    for gi, g in enumerate(groups):
+    for gi, g in enumerate(sorted({g for g, _ in groups})):
         color = PALETTE[gi % len(PALETTE)]
-        if g is None:
-            mask = np.ones(len(x_all), dtype=bool)
-            label = y_column
-        else:
-            mask = table[series_column][keep][finite] == g
-            label = f"n={int(g)}"
-        xs, ys = x_all[mask], y_all[mask]
-        # median over trials at each x
-        ux = np.unique(xs)
-        med = [float(np.median(ys[xs == v])) for v in ux]
-        parts.append(_polyline(ux.tolist(), med, x_lo, x_hi, y_lo, y_hi, color))
-        legend.append((label, color))
+        line = sorted((x, median(v)) for (h, x), v in groups.items() if h == g)
+        parts.append(_polyline(line, x_lo, x_hi, y_lo, y_hi, color))
+        legend.append((y_column if g is None else f"n={int(g)}", color))
     parts.extend(_legend(legend))
     return _finish(parts, out_path)
 
@@ -152,20 +144,18 @@ def _plot_histogram_overlay(table, out_path: Path) -> Path:
     for col in ("series", "x", "y"):
         if col not in table:
             raise FormatError(f"histogram-overlay needs columns series,x,y (have {sorted(table)})")
-    series = table["series"]
-    esd_mask = series == "esd"
-    qve_mask = series == "qve"
-    if not np.any(esd_mask):
+    rows = list(zip(table["series"].tolist(), table["x"].tolist(), table["y"].tolist()))
+    bars = [(x, y) for s, x, y in rows if s == "esd"]
+    curve = [(x, y) for s, x, y in rows if s == "qve"]
+    if not bars:
         raise FormatError("no 'esd' rows in CSV")
-    ex, ey = table["x"][esd_mask].astype(float), table["y"][esd_mask].astype(float)
-    qx, qy = table["x"][qve_mask].astype(float), table["y"][qve_mask].astype(float)
-    x_lo = float(min(ex.min(), qx.min() if len(qx) else ex.min()))
-    x_hi = float(max(ex.max(), qx.max() if len(qx) else ex.max()))
-    y_hi = float(max(ey.max(), qy.max() if len(qy) else ey.max())) * 1.05 or 1.0
+    xs, ys = zip(*bars, *curve)
+    x_lo, x_hi = min(xs), max(xs)
+    y_hi = max(ys) * 1.05 or 1.0
     parts = _axes(x_lo, x_hi, 0.0, y_hi, "eigenvalue", "density")
-    width = (ex[1] - ex[0]) if len(ex) > 1 else (x_hi - x_lo)
+    width = (bars[1][0] - bars[0][0]) if len(bars) > 1 else (x_hi - x_lo)
     half = 0.5 * width
-    for cx, cy in zip(ex.tolist(), ey.tolist()):
+    for cx, cy in bars:
         x0 = _scale(cx - half, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
         x1 = _scale(cx + half, x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
         y0 = _scale(cy, 0.0, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
@@ -174,8 +164,8 @@ def _plot_histogram_overlay(table, out_path: Path) -> Path:
             f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{h:.2f}" '
             f'fill="#a6c9e6" stroke="#5c88ad" stroke-width="0.5"/>'
         )
-    if len(qx):
-        parts.append(_polyline(qx.tolist(), qy.tolist(), x_lo, x_hi, 0.0, y_hi, "#d95f02"))
+    if curve:
+        parts.append(_polyline(curve, x_lo, x_hi, 0.0, y_hi, "#d95f02"))
     parts.extend(_legend([("empirical", "#a6c9e6"), ("limit density", "#d95f02")]))
     return _finish(parts, out_path)
 

@@ -141,17 +141,20 @@ def _sbm_trial(cfg: ExperimentConfig, n: int, c: float, trial: int, seed: int) -
     return (n, cfg.beta, c, alpha, seed, g[0], g[1], g[2], g[3], r.overlap_top, r.overlap_second)
 
 
+def _sbm_prediction(cfg: ExperimentConfig, c: float) -> dict:
+    return sbm_recovery_prediction(cfg.f, cfg.within, cfg.across, c, cfg.alpha).to_json() | {"c": c}
+
+
 def _sbm_theory(cfg: ExperimentConfig, c: float) -> dict:
-    pred = sbm_recovery_prediction(cfg.f, cfg.within, cfg.across, c, cfg.alpha)
-    entry = pred.to_json() | {"c": c, "beta": cfg.beta}
+    entry = _sbm_prediction(cfg, c) | {"beta": cfg.beta}
     if abs(cfg.beta - 0.5) > 1e-12:
         # closed forms hold at beta = 1/2 only; beta != 1/2 gets the
         # QVE-based outlier location instead
         entry["closed_form_valid"] = False
-        if pred.kappa is not None and pred.regime == "critical":
+        if entry["kappa"] is not None and entry["regime"] == "critical":
             s = sd_f_centered(cfg.f, cfg.within)
             sb = sd_f_centered(cfg.f, cfg.across)
-            entry["qve_outlier_limit"] = sbm_numeric_outlier(cfg.beta, s, sb, pred.kappa)
+            entry["qve_outlier_limit"] = sbm_numeric_outlier(cfg.beta, s, sb, entry["kappa"])
     return entry
 
 
@@ -255,18 +258,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     tuples = [(n, c, t) for n in cfg.n_list for c in cfg.c_grid for t in range(cfg.trials_per_point)]
     args = (repeat(cfg), range(len(tuples)), tuples)
-    # with workers, the trials run while this process computes the theory
-    pending = list(map(_task, *args)) if threads == 1 else _pool(threads).map(_task, *args)
+    pending = map(_task, *args) if threads == 1 else _pool(threads).map(_task, *args)
     try:
-        theory = None if sweep.theory is None else [sweep.theory(cfg, c) for c in cfg.c_grid]
-    finally:
+        # the pool's threads need the GIL to hand the tasks to the workers,
+        # so the theory, pure Python, waits until the first row is back
+        rows = [next(pending)]
         try:
-            rows = list(pending)  # a failed trial is reported first, as on one thread
-        except BrokenExecutor:
-            # a worker died (killed for memory at large n, say) and broke the pool
-            raise NlspikeError(
-                f"a sweep worker process died, one of {threads}; no rows were written"
-            ) from None
+            theory = None if sweep.theory is None else [sweep.theory(cfg, c) for c in cfg.c_grid]
+        finally:
+            rows += pending  # a failed trial is reported before a failed theory
+    except BrokenExecutor:
+        # a worker died (killed for memory at large n, say) and broke the pool
+        raise NlspikeError(f"a sweep worker process died, one of {threads}; no rows were written") from None
     if sweep.summary is not None:
         rows += sweep.summary(cfg, rows)
     csv_path = out_dir / f"{sweep.stem}.csv"
@@ -330,13 +333,8 @@ def run_predict(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, P
     """Theory-only predictions over the c grid, written as JSON."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for c in cfg.c_grid:
-        if cfg.model == "wigner":
-            pred = signed_recovery_prediction(cfg.f, cfg.noise, c, cfg.alpha)
-        else:
-            pred = sbm_recovery_prediction(cfg.f, cfg.within, cfg.across, c, cfg.alpha)
-        entries.append(pred.to_json() | {"c": c})
+    predict = _signed_theory if cfg.model == "wigner" else _sbm_prediction
+    entries = [predict(cfg, c) for c in cfg.c_grid]
     return {"json": _write_json(out_dir / "predictions.json", entries)}
 
 

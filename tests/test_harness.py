@@ -529,6 +529,31 @@ def test_default_threads_run_on_the_calling_thread(monkeypatch, tmp_path):
     assert names == [threading.current_thread().name] * 12
 
 
+def test_pool_sweep_takes_its_first_row_before_the_theory(monkeypatch, tmp_path):
+    """With workers, the theory runs once the first row is back: the pool's
+    threads need the GIL to hand the tasks to the workers, and the
+    pure-Python theory would hold it."""
+    log = []
+
+    class LazyPool:
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                log.append("next")
+                yield fn(*args)
+
+    sbm_sweep = sweeps._SWEEPS["sbm-sweep"]
+
+    def theory(cfg, c):
+        log.append("theory")
+        return sbm_sweep.theory(cfg, c)
+
+    monkeypatch.setattr(sweeps, "_pool", lambda workers: LazyPool())
+    monkeypatch.setitem(sweeps._SWEEPS, "sbm-sweep", replace(sbm_sweep, theory=theory, plots=()))
+    raw = sweep_cfg(**SBM_RAW | {"n_list": [40], "c_grid": [1.0, 2.0], "trials_per_point": 1})
+    run_experiment(parse_config(raw), tmp_path, threads=2)
+    assert log == ["next", "theory", "theory", "next"]
+
+
 # ---------------------------------------------------------------------------
 # the trials' one-triangle contract
 # ---------------------------------------------------------------------------
